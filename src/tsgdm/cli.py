@@ -26,6 +26,7 @@ from .gateway import (
     Backend,
     CacheMode,
     CachingBackend,
+    CallPool,
     FinishReason,
     RemoteBackend,
     RemoteConfig,
@@ -79,7 +80,12 @@ class TaskSettings:
 
 @dataclass
 class BackendSettings:
-    """Backend selection plus optional record/replay cache."""
+    """Backend selection plus optional record/replay cache.
+
+    ``max_inflight`` is how many gateway calls one trial keeps in flight;
+    results do not depend on it, and 1 is the sequential call order. Replay
+    always runs sequentially: it never waits on I/O.
+    """
 
     kind: str = "scripted"
     base_url: str = "https://api.openai.com/v1"
@@ -88,6 +94,7 @@ class BackendSettings:
     timeout_s: float = 60.0
     chat: bool = True
     max_attempts: int = 4
+    max_inflight: int = 8
     cache_mode: str = "off"
     cache_path: str | None = None
     scripted_rules: tuple[ScriptRule, ...] = DEFAULT_SCRIPTED_RULES
@@ -200,6 +207,7 @@ _BACKEND_FIELDS = (
     "timeout_s",
     "chat",
     "max_attempts",
+    "max_inflight",
     "cache_mode",
     "cache_path",
     "scripted_rules",
@@ -309,8 +317,9 @@ def _parse_backend(section: Any) -> BackendSettings:
         kwargs["timeout_s"] = _as_float(data["timeout_s"], "backend.timeout_s")
     if "chat" in data:
         kwargs["chat"] = _as_bool(data["chat"], "backend.chat")
-    if "max_attempts" in data:
-        kwargs["max_attempts"] = _as_int(data["max_attempts"], "backend.max_attempts")
+    for key in ("max_attempts", "max_inflight"):
+        if key in data:
+            kwargs[key] = _as_int(data[key], f"backend.{key}")
     if "scripted_rules" in data:
         kwargs["scripted_rules"] = _parse_scripted_rules(data["scripted_rules"])
     settings = BackendSettings(**kwargs)
@@ -322,6 +331,8 @@ def _parse_backend(section: Any) -> BackendSettings:
         )
     if settings.cache_mode in ("record", "replay") and not settings.cache_path:
         raise ConfigError(f"backend.cache_path: required for cache_mode {settings.cache_mode!r}")
+    if settings.max_inflight < 1:
+        raise ConfigError(f"backend.max_inflight: must be >= 1, got {settings.max_inflight}")
     return settings
 
 
@@ -451,6 +462,7 @@ def build_backend(settings: BackendSettings, cache: ReplayCache | None) -> Backe
                 timeout_s=settings.timeout_s,
                 chat=settings.chat,
                 max_attempts=settings.max_attempts,
+                max_inflight=settings.max_inflight,
             )
         )
     if cache is None:
@@ -487,17 +499,22 @@ def _run_one_trial(
     seed = config.seed_base + trial
     run_cfg = dataclasses.replace(config.run, seed=seed)
     backend = build_backend(config.backend, cache)
+    max_inflight = 1 if config.backend.cache_mode == "replay" else config.backend.max_inflight
     try:
-        result = run_tsgd(run_cfg, task, backend, max_lm_calls=config.max_gateway_calls)
-        final_test = score_prompt(
-            result.best_prompt,
-            task.test,
-            backend,
-            task.score_kind,
-            task.label_set,
-            task.forward_template,
-            tag="test",
+        result = run_tsgd(
+            run_cfg, task, backend, max_lm_calls=config.max_gateway_calls, max_inflight=max_inflight
         )
+        with CallPool(max_inflight) as pool:
+            final_test = score_prompt(
+                result.best_prompt,
+                task.test,
+                backend,
+                task.score_kind,
+                task.label_set,
+                task.forward_template,
+                tag="test",
+                pool=pool,
+            )
         return {
             "trial": trial,
             "seed": seed,
@@ -522,18 +539,24 @@ def _run_one_trial(
 
 def run_experiment(config: ExperimentConfig, echo=print) -> dict:
     """Execute config.trials seeded runs and write per-trial files, the
-    per-iteration log, and the aggregate summary into config.output_dir."""
+    per-iteration log, and the aggregate summary into config.output_dir.
+
+    A record cache is saved even when a trial raises."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     task = build_task(config.task)
     cache = build_cache(config.backend)
 
     indices = list(range(config.trials))
-    if config.parallel_trials > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_trials) as pool:
-            trials = list(pool.map(lambda i: _run_one_trial(config, task, cache, i), indices))
-    else:
-        trials = [_run_one_trial(config, task, cache, i) for i in indices]
+    try:
+        if config.parallel_trials > 1:
+            with ThreadPoolExecutor(max_workers=config.parallel_trials) as pool:
+                trials = list(pool.map(lambda i: _run_one_trial(config, task, cache, i), indices))
+        else:
+            trials = [_run_one_trial(config, task, cache, i) for i in indices]
+    finally:
+        if cache is not None and config.backend.cache_mode == "record" and config.backend.cache_path:
+            cache.save(config.backend.cache_path)
 
     log_lines = []
     for trial_data in trials:
@@ -572,9 +595,6 @@ def run_experiment(config: ExperimentConfig, echo=print) -> dict:
     if summary["failed"]:
         summary["warning"] = f"{summary['failed']} of {config.trials} trials failed; summary covers completed trials only"
     _dump_json(out / "summary.json", summary)
-
-    if cache is not None and config.backend.cache_mode == "record" and config.backend.cache_path:
-        cache.save(config.backend.cache_path)
 
     for trial_data in trials:
         if trial_data["status"] == "complete":
@@ -687,6 +707,7 @@ _OVERRIDES = (
     ("api_key_env", "backend.api_key_env", str),
     ("cache_mode", "backend.cache_mode", str),
     ("cache_path", "backend.cache_path", str),
+    ("max_inflight", "backend.max_inflight", int),
     ("iterations", "run.total_iterations", int),
     ("batch_size", "run.batch_size", int),
     ("train_size", "run.train_size", int),
@@ -720,6 +741,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--api-key-env", dest="api_key_env")
     parser.add_argument("--cache-mode", dest="cache_mode", choices=["off", "record", "replay", "passthrough"])
     parser.add_argument("--cache-path", dest="cache_path")
+    parser.add_argument(
+        "--max-inflight", dest="max_inflight", type=int,
+        help="gateway calls in flight per trial (default 8; 1 is sequential)",
+    )
     parser.add_argument("--iterations", type=int)
     parser.add_argument("--batch-size", dest="batch_size", type=int)
     parser.add_argument("--train-size", dest="train_size", type=int)

@@ -3,22 +3,27 @@
 One request/result contract served by three interchangeable backends: a
 remote OpenAI-compatible HTTP endpoint, a deterministic scripted backend for
 offline work, and a record/replay cache that wraps either. Call sites only
-ever see :func:`complete`.
+ever see :func:`complete`; :class:`CallPool` keeps several of them in flight
+with results in call order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import random
 import threading
 import time
+from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, Protocol, TypeVar
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .errors import (
     AuthError,
@@ -42,9 +47,11 @@ class FinishReason(str, Enum):
 class CompletionRequest:
     """One generation request.
 
-    ``request_tag`` is a provenance label (e.g. ``refine/iter3/cand5/block2``)
-    carried for logging only; it never enters the cache digest, so tagging
-    cannot break replay.
+    ``request_tag`` is a provenance label (e.g. ``refine/iter3/cand5/block2``).
+    A sampled request (``temperature > 0``) is one draw among many:
+    ``sample_seed`` (the seed of the run that sends it) and the tag together
+    name which draw it is, and enter the cache digest as the sample identity.
+    Greedy requests have one answer per prompt and their digest ignores both.
     """
 
     prompt_text: str
@@ -52,6 +59,7 @@ class CompletionRequest:
     temperature: float
     stop_sequences: tuple[str, ...] = ()
     request_tag: str = ""
+    sample_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_new_tokens < 1:
@@ -62,16 +70,15 @@ class CompletionRequest:
 
     def digest(self) -> str:
         """Hex digest over exactly the fields that determine the completion."""
-        payload = json.dumps(
-            {
-                "prompt_text": self.prompt_text,
-                "max_new_tokens": self.max_new_tokens,
-                "temperature": self.temperature,
-                "stop_sequences": list(self.stop_sequences),
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        fields = {
+            "prompt_text": self.prompt_text,
+            "max_new_tokens": self.max_new_tokens,
+            "temperature": self.temperature,
+            "stop_sequences": list(self.stop_sequences),
+        }
+        if self.temperature > 0.0:
+            fields["sample"] = [self.sample_seed, self.request_tag]
+        payload = json.dumps(fields, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -99,6 +106,66 @@ class Backend(Protocol):
 def complete(backend: Backend, request: CompletionRequest) -> CompletionResult:
     """Run one completion against ``backend``."""
     return backend.complete(request)
+
+
+_Item = TypeVar("_Item")
+_Out = TypeVar("_Out")
+
+
+class CallPool:
+    """Runs a function over items with at most ``max_inflight`` at once and
+    returns the results in item order.
+
+    ``max_inflight=1`` runs the items one after another in the caller's
+    thread, in order, stopping at the first failure. Otherwise the threads
+    are started once, on first use, and reused by every :meth:`map` until
+    :meth:`close`. A pooled function must not call :meth:`map` on the same
+    pool: it would wait for a slot that only it can free.
+    """
+
+    def __init__(self, max_inflight: int = 1) -> None:
+        if max_inflight < 1:
+            raise DomainError(f"max_inflight must be >= 1, got {max_inflight}")
+        self.max_inflight = max_inflight
+        self._executor: ThreadPoolExecutor | None = None
+
+    def map(self, fn: Callable[[_Item], _Out], items: Iterable[_Item]) -> list[_Out]:
+        """``[fn(item) for item in items]``, up to ``max_inflight`` at a time.
+
+        When an item fails, items not yet started are dropped, the running
+        ones are waited for, and then the first failure in item order is
+        raised; items start in order, so that is the failure a sequential
+        run would have raised.
+        """
+        items = list(items)
+        if self.max_inflight == 1 or len(items) < 2:
+            return [fn(item) for item in items]
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(self.max_inflight, thread_name_prefix="tsgdm-call")
+        futures = [self._executor.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        for future in futures:
+            if not future.cancelled() and future.exception() is not None:
+                raise future.exception()
+        return [future.result() for future in futures]
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+    def __enter__(self) -> "CallPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+# Runs every map in the caller's thread; the default wherever a pool is optional.
+SEQUENTIAL = CallPool(1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +239,13 @@ class RemoteConfig:
     ``chat=True`` speaks the chat-completions shape, otherwise the plain
     completions shape. The API key is read from the environment variable
     named by ``api_key_env`` at call time, never stored.
+
+    Retry ``n`` waits ``backoff_base_s * 2**(n-1)``, stretched by a random
+    share of up to half of itself so that concurrent callers do not retry
+    in lockstep, and never less than a 429/503 response's
+    ``Retry-After`` seconds. ``max_inflight`` is how many calls may share
+    the backend at once; the connection pool keeps at least that many
+    connections.
     """
 
     base_url: str
@@ -181,12 +255,15 @@ class RemoteConfig:
     chat: bool = True
     max_attempts: int = 4
     backoff_base_s: float = 0.5
+    max_inflight: int = 1
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise DomainError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.timeout_s <= 0 or self.backoff_base_s < 0:
             raise DomainError("timeout_s must be > 0 and backoff_base_s >= 0")
+        if self.max_inflight < 1:
+            raise DomainError(f"max_inflight must be >= 1, got {self.max_inflight}")
         self.base_url = self.base_url.rstrip("/")
 
 
@@ -201,15 +278,31 @@ _FINISH_ALIASES = {
 }
 
 _RETRY_STATUSES = frozenset({429, 500, 502, 503, 504})
+_RETRY_AFTER_STATUSES = frozenset({429, 503})
+# A backoff is stretched by a random share of up to this much of itself.
+_BACKOFF_JITTER = 0.5
+# urllib3 keeps this many connections per host unless told otherwise.
+_DEFAULT_POOL_SIZE = 10
+
+
+def _retry_after_s(response) -> float:
+    """A ``Retry-After`` header in its seconds form, else 0 (the HTTP-date
+    form and garbage are ignored)."""
+    try:
+        value = float(response.headers.get("Retry-After", 0))
+    except (TypeError, ValueError):
+        return 0.0
+    return value if math.isfinite(value) and value > 0 else 0.0
 
 
 class RemoteBackend:
     """HTTP backend with bounded retries.
 
     Transient failures (HTTP 429/5xx, timeouts, dropped connections) are
-    retried with exponential backoff up to ``max_attempts`` total attempts;
-    401/403 raise :class:`AuthError` immediately, other client errors and
-    unparseable bodies raise :class:`ProtocolError`.
+    retried with jittered exponential backoff up to ``max_attempts`` total
+    attempts; 401/403 raise :class:`AuthError` immediately, other client
+    errors and unparseable bodies raise :class:`ProtocolError`. ``rand``
+    draws the jitter share in [0, 1).
     """
 
     def __init__(
@@ -217,10 +310,23 @@ class RemoteBackend:
         config: RemoteConfig,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        rand: Callable[[], float] = random.random,
     ) -> None:
         self.config = config
-        self._session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            size = max(_DEFAULT_POOL_SIZE, config.max_inflight)
+            adapter = HTTPAdapter(pool_connections=size, pool_maxsize=size)
+            session.mount("https://", adapter)
+            session.mount("http://", adapter)
+        self._session = session
         self._sleep = sleep
+        self._rand = rand
+
+    def _backoff_s(self, attempt: int, retry_after_s: float) -> float:
+        delay = self.config.backoff_base_s * 2 ** (attempt - 1)
+        delay *= 1.0 + _BACKOFF_JITTER * self._rand()
+        return max(delay, retry_after_s)
 
     def _endpoint(self) -> str:
         path = "/chat/completions" if self.config.chat else "/completions"
@@ -270,9 +376,11 @@ class RemoteBackend:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         last_error: Exception | None = None
+        retry_after_s = 0.0
         for attempt in range(self.config.max_attempts):
             if attempt:
-                self._sleep(self.config.backoff_base_s * 2 ** (attempt - 1))
+                self._sleep(self._backoff_s(attempt, retry_after_s))
+            retry_after_s = 0.0
             try:
                 response = self._session.post(
                     self._endpoint(),
@@ -288,6 +396,8 @@ class RemoteBackend:
                 raise AuthError(f"endpoint rejected credentials (HTTP {status})")
             if status in _RETRY_STATUSES or status >= 500:
                 last_error = NetworkError(f"HTTP {status}")
+                if status in _RETRY_AFTER_STATUSES:
+                    retry_after_s = _retry_after_s(response)
                 continue
             if status >= 400:
                 raise ProtocolError(f"HTTP {status}: {response.text[:200]}")
@@ -316,8 +426,10 @@ class ReplayCache:
 
     Record mode answers a digest it has seen before from the store without a
     second inner call, so a recorded run is self-consistent and replays
-    byte-identically even when the inner backend samples. Replay mode never
-    falls through to a live call: a missing digest raises
+    byte-identically even when the inner backend samples. Record mode is
+    single-flight: while one caller asks the inner backend for a digest,
+    concurrent callers of the same digest wait for that answer. Replay mode
+    never falls through to a live call: a missing digest raises
     :class:`CacheMissError`.
     """
 
@@ -329,6 +441,7 @@ class ReplayCache:
         self.mode = CacheMode(mode)
         self.entries: dict[str, CompletionResult] = dict(entries or {})
         self._lock = threading.RLock()
+        self._inflight: dict[str, Future] = {}
 
     def __len__(self) -> int:
         with self._lock:
@@ -338,12 +451,40 @@ class ReplayCache:
         with self._lock:
             return self.entries.get(request.digest())
 
-    def store(self, request: CompletionRequest, result: CompletionResult) -> None:
+    def record(self, request: CompletionRequest, inner: Backend) -> CompletionResult:
+        """The stored result for the request's digest, or else the inner
+        backend's, stored; exactly one inner call per digest however many
+        threads ask at once. Waiters of a failed call get its exception."""
+        digest = request.digest()
         with self._lock:
-            self.entries[request.digest()] = result
+            found = self.entries.get(digest)
+            if found is not None:
+                return found
+            pending = self._inflight.get(digest)
+            leader = pending is None
+            if leader:
+                pending = self._inflight[digest] = Future()
+        if not leader:
+            return pending.result()
+        try:
+            result = inner.complete(request)
+        except BaseException as exc:
+            with self._lock:
+                del self._inflight[digest]
+            pending.set_exception(exc)
+            raise
+        with self._lock:
+            self.entries[digest] = result
+            del self._inflight[digest]
+        pending.set_result(result)
+        return result
 
     def save(self, path: str | Path) -> None:
-        """Write one JSON object per line, sorted by digest for stable bytes."""
+        """Write one JSON object per line, sorted by digest for stable bytes.
+
+        The lines go to a temporary file beside ``path``, synced to disk,
+        that then replaces it, so a process or system crash mid-save leaves
+        the previous file whole."""
         with self._lock:
             items = sorted(self.entries.items())
         lines = []
@@ -361,7 +502,13 @@ class ReplayCache:
                     ensure_ascii=False,
                 )
             )
-        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        path = Path(path)
+        temp = path.with_name(path.name + ".tmp")
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
 
     @classmethod
     def load(cls, path: str | Path, mode: CacheMode | str = CacheMode.REPLAY) -> "ReplayCache":
@@ -392,12 +539,7 @@ def cached_complete(cache: ReplayCache, inner: Backend, request: CompletionReque
         if found is None:
             raise CacheMissError(f"no cached result for digest {request.digest()}")
         return found
-    found = cache.lookup(request)
-    if found is not None:
-        return found
-    result = inner.complete(request)
-    cache.store(request, result)
-    return result
+    return cache.record(request, inner)
 
 
 class CachingBackend:

@@ -22,9 +22,17 @@ from .errors import (
     EmptyBatchError,
     EmptyHistoryError,
 )
-from .gateway import Backend, CallCounter, CompletionRequest, FinishReason
+from .gateway import (
+    SEQUENTIAL,
+    Backend,
+    CallCounter,
+    CallPool,
+    CompletionRequest,
+    CompletionResult,
+    FinishReason,
+)
 from .rng import STREAM_BATCH, STREAM_CANDIDATES, RandomStream, substream
-from .task import TaskBinding, sample_batch, predict
+from .task import LabeledExample, TaskBinding, sample_batch, predict
 
 Triple = tuple[str, str, str]
 ScoreFn = Callable[[str], float]
@@ -450,17 +458,18 @@ def update_mom(
     score: ScoreFn,
     rng: RandomStream,
     lm: Backend,
+    pool: CallPool = SEQUENTIAL,
 ) -> tuple[str, list[float]]:
-    """One momentum update: k candidates on independent substreams, then
-    selection."""
+    """One momentum update: k candidates on independent substreams, generated
+    through ``pool``, then selection."""
     if len(history) == 0:
         raise EmptyHistoryError("momentum update needs at least one record")
     iteration = history.last().iteration
     streams = rng.spawn(gen.candidates)
-    candidates = [
-        momentum_generate(history, gen, streams[j], lm, tag_prefix=f"refine/iter{iteration}/cand{j}")
-        for j in range(gen.candidates)
-    ]
+    candidates = pool.map(
+        lambda j: momentum_generate(history, gen, streams[j], lm, tag_prefix=f"refine/iter{iteration}/cand{j}"),
+        range(gen.candidates),
+    )
     return _select_candidate(candidates, score)
 
 
@@ -470,17 +479,19 @@ def update_vanilla(
     score: ScoreFn,
     rng: RandomStream,
     lm: Backend,
+    pool: CallPool = SEQUENTIAL,
 ) -> tuple[str, list[float]]:
-    """One vanilla update: k candidates conditioned on ``current`` only.
+    """One vanilla update: k candidates conditioned on ``current`` only,
+    generated through ``pool``.
 
     The rng argument is accepted for signature parity; vanilla generation
     consumes no client-side randomness (the backend does the sampling).
     """
     iteration = current.iteration
-    candidates = [
-        generate_vanilla(current, gen, lm, tag_prefix=f"refine/iter{iteration}/cand{j}")
-        for j in range(gen.candidates)
-    ]
+    candidates = pool.map(
+        lambda j: generate_vanilla(current, gen, lm, tag_prefix=f"refine/iter{iteration}/cand{j}"),
+        range(gen.candidates),
+    )
     return _select_candidate(candidates, score)
 
 
@@ -490,24 +501,39 @@ def update_concat(
     score: ScoreFn,
     rng: RandomStream,
     lm: Backend,
+    pool: CallPool = SEQUENTIAL,
 ) -> tuple[str, list[float]]:
     """Concatenation-baseline update: the vanilla block loop over the whole
-    joined history."""
+    joined history, one candidate per ``pool`` item."""
     if len(history) == 0:
         raise EmptyHistoryError("concat update needs at least one record")
     iteration = history.last().iteration
     conditioning = concat_momentum_prompt(history, len(history), gen.refine_template)
-    candidates = [
-        _generate_blocks(
+    candidates = pool.map(
+        lambda j: _generate_blocks(
             lambda block: conditioning, gen, lm, tag_prefix=f"refine/iter{iteration}/cand{j}"
-        )
-        for j in range(gen.candidates)
-    ]
+        ),
+        range(gen.candidates),
+    )
     return _select_candidate(candidates, score)
 
 
 # ---------------------------------------------------------------------------
 # outer loop
+
+
+class _RunDraws:
+    """Backend view that stamps the run's seed on every sampled request, so
+    a cache shared by several runs keeps their draws apart."""
+
+    def __init__(self, inner: Backend, seed: int) -> None:
+        self.inner = inner
+        self.seed = seed
+
+    def complete(self, request: CompletionRequest) -> CompletionResult:
+        if request.temperature > 0.0:
+            request = dataclasses.replace(request, sample_seed=self.seed)
+        return self.inner.complete(request)
 
 
 def run_tsgd(
@@ -517,6 +543,7 @@ def run_tsgd(
     rng: RandomStream | None = None,
     score_fn: ScoreFn | None = None,
     max_lm_calls: int | None = None,
+    max_inflight: int = 1,
 ) -> RunResult:
     """Optimize ``task.initial_prompt`` for ``config.total_iterations`` rounds.
 
@@ -530,16 +557,24 @@ def run_tsgd(
     including the initial one.
 
     All randomness descends from ``config.seed``; passing ``rng`` replaces
-    that root with a seed drawn from the given stream. On failure the partial
+    that root with a seed drawn from the given stream, and sampled requests
+    carry the root as their ``sample_seed``. On failure the partial
     row list is attached to the raised exception as ``partial_run_log``.
+
+    Up to ``max_inflight`` gateway calls run at once: the batch forward
+    passes, the k candidate generations and each score's forward passes fan
+    out over one :class:`CallPool`. Every request and its place in the
+    result are fixed before it is sent, so the result is byte-identical for
+    every ``max_inflight``; 1 keeps the sequential call order.
     """
     if rng is None:
         root_seed = config.seed
     else:
         root_seed = int(rng.integers(0, 2**63))
-    counter = CallCounter(lm, max_calls=max_lm_calls)
+    counter = CallCounter(_RunDraws(lm, root_seed), max_calls=max_lm_calls)
+    calls = CallPool(max_inflight)
     gen = config.generation
-    score = score_fn if score_fn is not None else task.score_function(counter)
+    score = score_fn if score_fn is not None else task.score_function(counter, pool=calls)
     pool = task.train[: config.train_size]
     history = OptimizerHistory()
     rows: list[IterationRow] = []
@@ -570,8 +605,9 @@ def run_tsgd(
                 substream(root_seed, STREAM_BATCH, t),
                 with_replacement=config.sample_with_replacement,
             )
-            triples = []
-            for i, example in enumerate(batch):
+
+            def forward(indexed: tuple[int, LabeledExample]) -> Triple:
+                i, example = indexed
                 raw, parsed = predict(
                     counter,
                     current_prompt,
@@ -581,7 +617,9 @@ def run_tsgd(
                     tag=f"predict/iter{t}/ex{i}",
                 )
                 prediction = parsed if parsed is not None else raw.strip()
-                triples.append((example.input_text, example.gold_label, prediction))
+                return (example.input_text, example.gold_label, prediction)
+
+            triples = calls.map(forward, enumerate(batch))
             record = PromptRecord(
                 iteration=t,
                 prompt_text=current_prompt,
@@ -597,11 +635,11 @@ def run_tsgd(
 
             cand_rng = substream(root_seed, STREAM_CANDIDATES, t)
             if gen.mode is GenerationMode.CONCAT_BASELINE:
-                next_prompt, cand_scores = update_concat(history, gen, score, cand_rng, counter)
+                next_prompt, cand_scores = update_concat(history, gen, score, cand_rng, counter, calls)
             elif config.use_momentum:
-                next_prompt, cand_scores = update_mom(history, gen, score, cand_rng, counter)
+                next_prompt, cand_scores = update_mom(history, gen, score, cand_rng, counter, calls)
             else:
-                next_prompt, cand_scores = update_vanilla(record, gen, score, cand_rng, counter)
+                next_prompt, cand_scores = update_vanilla(record, gen, score, cand_rng, counter, calls)
 
             if cand_scores:
                 index = max(range(len(cand_scores)), key=lambda i: cand_scores[i])
@@ -623,6 +661,8 @@ def run_tsgd(
     except Exception as exc:
         exc.partial_run_log = tuple(rows)
         raise
+    finally:
+        calls.close()
 
     best_row = max(rows, key=lambda row: row.holdout_score)
     return RunResult(

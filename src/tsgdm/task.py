@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DomainError, EmptySetError, LabelError, ParseError, SizeError
-from .gateway import Backend, CompletionRequest
+from .gateway import SEQUENTIAL, Backend, CallPool, CompletionRequest
 from .rng import STREAM_TASK, RandomStream, substream
 from .templates import FORWARD_TEMPLATE, render_forward
 
@@ -155,21 +155,26 @@ def score_prompt(
     label_set: Sequence[str] = (),
     forward_template: str = FORWARD_TEMPLATE,
     tag: str = "score",
+    pool: CallPool = SEQUENTIAL,
 ) -> float:
     """Mean per-example correctness of ``prompt_text`` over ``examples``.
 
     Classification counts a parsed label equal to the gold label; an
     unmatched completion is simply wrong. Scoring zero examples raises
-    :class:`EmptySetError` rather than returning a fake 0.0.
+    :class:`EmptySetError` rather than returning a fake 0.0. The forward
+    passes run through ``pool``.
     """
     if not examples:
         raise EmptySetError("cannot score a prompt over zero examples")
     kind = ScoreKind(kind)
+
+    def forward(indexed: tuple[int, LabeledExample]) -> tuple[str, str | None]:
+        i, example = indexed
+        return predict(lm, prompt_text, example.input_text, label_set, forward_template, tag=f"{tag}/ex{i}")
+
+    outputs = pool.map(forward, enumerate(examples))
     correct = 0
-    for i, example in enumerate(examples):
-        raw, parsed = predict(
-            lm, prompt_text, example.input_text, label_set, forward_template, tag=f"{tag}/ex{i}"
-        )
+    for example, (raw, parsed) in zip(examples, outputs):
         if kind is ScoreKind.CLASSIFICATION_ACCURACY:
             correct += int(parsed == example.gold_label)
         else:
@@ -187,6 +192,7 @@ class ScoreFunction:
     label_set: tuple[str, ...] = ()
     forward_template: str = FORWARD_TEMPLATE
     tag: str = "score"
+    pool: CallPool = SEQUENTIAL
 
     def __call__(self, prompt_text: str) -> float:
         return score_prompt(
@@ -197,6 +203,7 @@ class ScoreFunction:
             self.label_set,
             self.forward_template,
             tag=self.tag,
+            pool=self.pool,
         )
 
 
@@ -240,7 +247,9 @@ class TaskBinding:
     def score_kind(self) -> ScoreKind:
         return ScoreKind.EXACT_MATCH if self.exact_match else ScoreKind.CLASSIFICATION_ACCURACY
 
-    def score_function(self, lm: Backend, split: str = "holdout", tag: str = "score") -> ScoreFunction:
+    def score_function(
+        self, lm: Backend, split: str = "holdout", tag: str = "score", pool: CallPool = SEQUENTIAL
+    ) -> ScoreFunction:
         examples = {"train": self.train, "holdout": self.holdout, "test": self.test}[split]
         return ScoreFunction(
             examples=examples,
@@ -249,6 +258,7 @@ class TaskBinding:
             label_set=self.label_set,
             forward_template=self.forward_template,
             tag=tag,
+            pool=pool,
         )
 
 

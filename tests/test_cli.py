@@ -8,9 +8,12 @@ import sys
 
 import pytest
 
+import tsgdm.cli as cli
 from tsgdm import (
     ConfigError,
     HypothesisPreset,
+    ReplayCache,
+    ScriptedBackend,
     UnknownFieldError,
 )
 from tsgdm.cli import (
@@ -139,6 +142,14 @@ class TestParseBackend:
         assert rule.exact is False
         assert rule.finish_reason.value == "length"
         assert config.backend.scripted_default_response == " nothing"
+
+    def test_max_inflight(self):
+        assert parse_config("").backend.max_inflight == 8
+        assert parse_config("backend:\n  max_inflight: 1\n").backend.max_inflight == 1
+        with pytest.raises(ConfigError, match="backend.max_inflight"):
+            parse_config("backend:\n  max_inflight: 0\n")
+        with pytest.raises(ConfigError, match="backend.max_inflight"):
+            parse_config("backend:\n  max_inflight: many\n")
 
     def test_scripted_rules_validation(self):
         with pytest.raises(ConfigError, match="pattern and response"):
@@ -301,6 +312,25 @@ class TestRunExperiment:
         assert "BudgetExceededError" in trial["error"]
         assert len(trial["per_iteration"]) == 1
 
+    def test_record_cache_is_saved_when_a_trial_raises(self, tmp_path, monkeypatch):
+        class Crashing(ScriptedBackend):
+            def complete(self, request):
+                if len(self.call_log) >= 5:
+                    raise RuntimeError("worker crashed")
+                return super().complete(request)
+
+        monkeypatch.setattr(cli, "ScriptedBackend", Crashing)
+        cache_path = tmp_path / "cache.jsonl"
+        config = tiny_config(
+            backend={"cache_mode": "record", "cache_path": str(cache_path), "max_inflight": 4},
+            output_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            run_experiment(config, echo=lambda *a: None)
+        saved = ReplayCache.load(cache_path)
+        assert len(saved) > 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl", "out"]
+
 
 class TestRunSweep:
     def test_sweep_layout_and_ordering(self, tmp_path):
@@ -367,6 +397,23 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "out" / "trial_000.json").exists()
         assert not (tmp_path / "out" / "trial_001.json").exists()
+
+    def test_max_inflight_flag_overrides_config(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = cli.run_experiment
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda config: seen.append(config.backend.max_inflight) or real(config)
+        )
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text("backend:\n  max_inflight: 3\n", encoding="utf-8")
+        code = main(
+            [
+                "run", "--config", str(config_path), "--max-inflight", "1",
+                "--output-dir", str(tmp_path / "out"), *self.RUN_FLAGS,
+            ]
+        )
+        assert code == 0
+        assert seen == [1]
 
     def test_failed_trial_exit_one(self, tmp_path, capsys):
         code = main(

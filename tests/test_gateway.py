@@ -65,6 +65,18 @@ class TestCompletionRequest:
         stopped = CompletionRequest("hello", 8, 0.0, stop_sequences=("\n",))
         assert stopped.digest() != REQ.digest()
 
+    def test_sampled_digest_keys_on_seed_and_tag(self):
+        first = CompletionRequest("hello", 8, 0.7, request_tag="refine/iter0/cand0/block0")
+        second = CompletionRequest("hello", 8, 0.7, request_tag="refine/iter0/cand1/block0")
+        again = CompletionRequest("hello", 8, 0.7, request_tag="refine/iter0/cand0/block0")
+        other_run = CompletionRequest("hello", 8, 0.7, request_tag="refine/iter0/cand0/block0", sample_seed=1)
+        assert first.digest() != second.digest()
+        assert first.digest() == again.digest()
+        assert first.digest() != other_run.digest()
+
+    def test_greedy_digest_ignores_the_seed(self):
+        assert CompletionRequest("hello", 8, 0.0, sample_seed=5).digest() == REQ.digest()
+
 
 class TestScriptedBackend:
     def test_first_match_wins(self):
@@ -176,6 +188,23 @@ class TestReplayCache:
         with pytest.raises(ProtocolError):
             ReplayCache.load(path)
 
+    def test_record_keeps_sampled_candidates_apart(self):
+        inner = ScriptedBackend(default_response="sample")
+        cache = ReplayCache(mode=CacheMode.RECORD)
+        for j in range(3):
+            cached_complete(cache, inner, CompletionRequest("p", 4, 0.7, request_tag=f"refine/cand{j}"))
+        assert len(inner.call_log) == 3
+        assert len(cache) == 3
+
+    def test_save_replaces_the_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("stale\n", encoding="utf-8")
+        cache = ReplayCache(mode=CacheMode.RECORD)
+        cached_complete(cache, ScriptedBackend(default_response="x"), REQ)
+        cache.save(path)
+        assert ReplayCache.load(path).entries == cache.entries
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
     def test_caching_backend_adapter(self):
         inner = ScriptedBackend(default_response="adapted")
         backend = CachingBackend(ReplayCache(mode=CacheMode.RECORD), inner)
@@ -185,10 +214,11 @@ class TestReplayCache:
 
 
 class FakeResponse:
-    def __init__(self, status_code, body=None, text=""):
+    def __init__(self, status_code, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text or (json.dumps(body) if body is not None else "")
+        self.headers = dict(headers or {})
 
     def json(self):
         if self._body is None:
@@ -216,7 +246,7 @@ def chat_body(text, finish="stop"):
     }
 
 
-def make_remote(outcomes, chat=True, max_attempts=4):
+def make_remote(outcomes, chat=True, max_attempts=4, rand=lambda: 0.0):
     config = RemoteConfig(
         base_url="https://fake.example/v1",
         model="fake-model",
@@ -226,7 +256,7 @@ def make_remote(outcomes, chat=True, max_attempts=4):
     )
     session = FakeSession(outcomes)
     sleeps = []
-    backend = RemoteBackend(config, session=session, sleep=sleeps.append)
+    backend = RemoteBackend(config, session=session, sleep=sleeps.append, rand=rand)
     return backend, session, sleeps
 
 
@@ -259,6 +289,48 @@ class TestRemoteBackend:
         assert backend.complete(REQ).text == "ok"
         assert len(session.requests) == 3
         assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_seconds_is_honoured(self, status):
+        backend, _, sleeps = make_remote(
+            [
+                FakeResponse(status, headers={"Retry-After": "3"}),
+                FakeResponse(status, headers={"Retry-After": "0.2"}),
+                FakeResponse(200, chat_body("ok")),
+            ]
+        )
+        assert backend.complete(REQ).text == "ok"
+        # The longer of Retry-After and the backoff schedule.
+        assert sleeps == [3.0, 1.0]
+
+    def test_retry_after_date_form_and_other_statuses_fall_back_to_backoff(self):
+        backend, _, sleeps = make_remote(
+            [
+                FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                FakeResponse(500, headers={"Retry-After": "9"}),
+                FakeResponse(200, chat_body("ok")),
+            ]
+        )
+        assert backend.complete(REQ).text == "ok"
+        assert sleeps == [0.5, 1.0]
+
+    def test_backoff_jitter_is_bounded(self):
+        draws = iter([0.0, 0.5, 0.999])
+        backend, _, sleeps = make_remote(
+            [FakeResponse(503)] * 3 + [FakeResponse(200, chat_body("ok"))],
+            rand=lambda: next(draws),
+        )
+        assert backend.complete(REQ).text == "ok"
+        assert sleeps == pytest.approx([0.5, 1.0 * 1.25, 2.0 * 1.4995])
+        for base, slept in zip([0.5, 1.0, 2.0], sleeps):
+            assert base <= slept < base * 1.5
+
+    def test_connection_pool_holds_max_inflight(self):
+        url = "https://fake.example/v1/chat/completions"
+        wide = RemoteBackend(RemoteConfig(base_url="https://fake.example/v1", model="m", max_inflight=32))
+        narrow = RemoteBackend(RemoteConfig(base_url="https://fake.example/v1", model="m", max_inflight=2))
+        assert wide._session.get_adapter(url).poolmanager.connection_pool_kw["maxsize"] == 32
+        assert narrow._session.get_adapter(url).poolmanager.connection_pool_kw["maxsize"] == 10
 
     def test_retries_timeouts(self):
         backend, session, _ = make_remote(
