@@ -16,7 +16,7 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -116,11 +116,15 @@ class CallPool:
     """Runs a function over items with at most ``max_inflight`` at once and
     returns the results in item order.
 
+    ``max_inflight`` counts the caller: :meth:`map` runs items in the
+    calling thread next to up to ``max_inflight - 1`` helper threads, all
+    taking the next item from one shared cursor, so a map whose items
+    finish faster than a helper wakes up is run by the caller alone.
     ``max_inflight=1`` runs the items one after another in the caller's
-    thread, in order, stopping at the first failure. Otherwise the threads
-    are started once, on first use, and reused by every :meth:`map` until
+    thread, in order, stopping at the first failure. The helper threads are
+    started once, on first use, and reused by every :meth:`map` until
     :meth:`close`. A pooled function must not call :meth:`map` on the same
-    pool: it would wait for a slot that only it can free.
+    pool.
     """
 
     def __init__(self, max_inflight: int = 1) -> None:
@@ -132,25 +136,46 @@ class CallPool:
     def map(self, fn: Callable[[_Item], _Out], items: Iterable[_Item]) -> list[_Out]:
         """``[fn(item) for item in items]``, up to ``max_inflight`` at a time.
 
-        When an item fails, items not yet started are dropped, the running
-        ones are waited for, and then the first failure in item order is
-        raised; items start in order, so that is the failure a sequential
-        run would have raised.
+        Items start in order. Once an item has failed no further item
+        starts; the items already started are waited for, and then the
+        first failure in item order is raised, which is the failure a
+        sequential run would have raised.
         """
         items = list(items)
         if self.max_inflight == 1 or len(items) < 2:
             return [fn(item) for item in items]
         if self._executor is None:
-            self._executor = ThreadPoolExecutor(self.max_inflight, thread_name_prefix="tsgdm-call")
-        futures = [self._executor.submit(fn, item) for item in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        for future in futures:
-            if not future.cancelled() and future.exception() is not None:
-                raise future.exception()
-        return [future.result() for future in futures]
+            self._executor = ThreadPoolExecutor(self.max_inflight - 1, thread_name_prefix="tsgdm-call")
+        results: list = [None] * len(items)
+        failures: dict[int, BaseException] = {}
+        cursor = 0
+        lock = threading.Lock()
+
+        def work() -> None:
+            nonlocal cursor
+            while True:
+                with lock:
+                    if failures or cursor == len(items):
+                        return
+                    index = cursor
+                    cursor += 1
+                try:
+                    results[index] = fn(items[index])
+                except BaseException as exc:  # re-raised by the caller below
+                    with lock:
+                        failures[index] = exc
+
+        helpers = [self._executor.submit(work) for _ in range(min(self.max_inflight, len(items)) - 1)]
+        try:
+            work()
+        finally:
+            # A helper that has not started yet would find nothing to take.
+            for helper in helpers:
+                helper.cancel()
+            wait(helpers)
+        if failures:
+            raise failures[min(failures)]
+        return results
 
     def close(self) -> None:
         if self._executor is not None:
@@ -362,7 +387,12 @@ class RemoteBackend:
             completion_tokens = int(usage.get("completion_tokens", 0))
         except (AssertionError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProtocolError(f"response body missing expected fields: {exc!r}") from exc
-        reason = _FINISH_ALIASES.get(str(raw_reason).lower(), FinishReason.STOP)
+        if raw_reason is None:
+            reason = FinishReason.STOP
+        else:
+            reason = _FINISH_ALIASES.get(str(raw_reason).lower())
+            if reason is None:
+                raise ProtocolError(f"unknown finish_reason {raw_reason!r}")
         return CompletionResult(
             text=str(text),
             finish_reason=reason,

@@ -202,22 +202,28 @@ class GenerationParams:
         self._check_placeholders()
 
     def _check_placeholders(self) -> None:
-        refine = self.refine_template or ""
+        """Every template this mode renders must name its fields and render
+        with exactly those fields, so a bad template fails here and not
+        mid-run."""
         if self.mode is GenerationMode.CONCAT_BASELINE:
-            if not templates.has_placeholder(refine, "history"):
-                raise DomainError("concat-baseline refine_template needs a {history} placeholder")
-            return
-        if not templates.has_placeholder(refine, "prompt"):
-            raise DomainError("refine_template needs a {prompt} placeholder")
-        if self.mode is GenerationMode.CASE2_GRADIENT:
-            if not templates.has_placeholder(refine, "gradient"):
-                raise DomainError("gradient-mode refine_template needs a {gradient} placeholder")
-            analyze = self.analyze_template or ""
-            if not (
-                templates.has_placeholder(analyze, "prompt")
-                and templates.has_placeholder(analyze, "examples")
-            ):
-                raise DomainError("analyze_template needs {prompt} and {examples} placeholders")
+            _check_template("concat-baseline refine_template", self.refine_template, ("history",))
+        elif self.mode is GenerationMode.CASE2_GRADIENT:
+            _check_template("gradient-mode refine_template", self.refine_template, ("prompt", "gradient"))
+            _check_template("analyze_template", self.analyze_template, ("prompt", "examples"))
+        else:
+            _check_template("refine_template", self.refine_template, ("prompt",))
+
+
+def _check_template(name: str, template: str, fields: tuple[str, ...]) -> None:
+    """Raise :class:`DomainError` unless ``template`` names each of
+    ``fields`` and renders with those fields alone."""
+    for field_name in fields:
+        if not templates.has_placeholder(template, field_name):
+            raise DomainError(f"{name} needs a {{{field_name}}} placeholder")
+    try:
+        template.format(**{field_name: field_name for field_name in fields})
+    except (KeyError, IndexError, ValueError, AttributeError) as exc:
+        raise DomainError(f"{name} does not render with only {fields}: {exc!r}") from exc
 
 
 class HypothesisPreset(str, Enum):
@@ -255,11 +261,13 @@ class RunConfig:
             raise DomainError(f"train_size must be >= 1, got {self.train_size}")
         if self.patience < 1:
             raise DomainError(f"patience must be >= 1, got {self.patience}")
+        # A preset sets its temperature on a copy: the caller's
+        # GenerationParams may be shared with other configs.
         if self.hypothesis_preset is HypothesisPreset.H0:
-            self.generation.temperature = 0.7
+            self.generation = dataclasses.replace(self.generation, temperature=0.7)
             self.patience = 2
         elif self.hypothesis_preset is HypothesisPreset.H1:
-            self.generation.temperature = 1.1
+            self.generation = dataclasses.replace(self.generation, temperature=1.1)
             self.patience = 5
 
 
@@ -442,14 +450,70 @@ def compute_textual_gradient(
 # update steps
 
 
-def _select_candidate(candidates: Sequence[str], score: ScoreFn) -> tuple[str, list[float]]:
-    """Single candidates pass through unscored; otherwise score all and take
-    the argmax, lowest index winning ties."""
+def _select_candidate(candidates: Sequence[str], score: ScoreFn) -> tuple[int, float, list[float]]:
+    """Score every candidate and take the argmax, lowest index winning ties.
+
+    A scorer with a ``many`` method scores all candidates in one batch; a
+    plain callable is called once per candidate, in order. Returns the
+    winner's index, its score, and every candidate's score, the last empty
+    for a lone candidate: it is scored, but there is nothing to compare.
+    """
+    many = getattr(score, "many", None)
+    scores = [float(s) for s in (many(candidates) if many is not None else map(score, candidates))]
+    index = max(range(len(scores)), key=scores.__getitem__)
+    return index, scores[index], scores if len(scores) > 1 else []
+
+
+def _update(candidates: Sequence[str], score: ScoreFn) -> tuple[str, list[float]]:
+    """A lone candidate passes through unscored; otherwise the argmax."""
     if len(candidates) == 1:
         return candidates[0], []
-    scores = [float(score(candidate)) for candidate in candidates]
-    best = max(range(len(scores)), key=lambda i: scores[i])
-    return candidates[best], scores
+    index, _, scores = _select_candidate(candidates, score)
+    return candidates[index], scores
+
+
+def _momentum_candidates(
+    history: OptimizerHistory, gen: GenerationParams, rng: RandomStream, lm: Backend, pool: CallPool
+) -> list[str]:
+    """k momentum candidates on independent substreams, generated through
+    ``pool``."""
+    if len(history) == 0:
+        raise EmptyHistoryError("momentum update needs at least one record")
+    iteration = history.last().iteration
+    streams = rng.spawn(gen.candidates)
+    return pool.map(
+        lambda j: momentum_generate(history, gen, streams[j], lm, tag_prefix=f"refine/iter{iteration}/cand{j}"),
+        range(gen.candidates),
+    )
+
+
+def _vanilla_candidates(
+    current: PromptRecord, gen: GenerationParams, lm: Backend, pool: CallPool
+) -> list[str]:
+    """k candidates conditioned on ``current`` only, generated through
+    ``pool``."""
+    iteration = current.iteration
+    return pool.map(
+        lambda j: generate_vanilla(current, gen, lm, tag_prefix=f"refine/iter{iteration}/cand{j}"),
+        range(gen.candidates),
+    )
+
+
+def _concat_candidates(
+    history: OptimizerHistory, gen: GenerationParams, lm: Backend, pool: CallPool
+) -> list[str]:
+    """k candidates of the vanilla block loop over the whole joined history,
+    one per ``pool`` item."""
+    if len(history) == 0:
+        raise EmptyHistoryError("concat update needs at least one record")
+    iteration = history.last().iteration
+    conditioning = concat_momentum_prompt(history, len(history), gen.refine_template)
+    return pool.map(
+        lambda j: _generate_blocks(
+            lambda block: conditioning, gen, lm, tag_prefix=f"refine/iter{iteration}/cand{j}"
+        ),
+        range(gen.candidates),
+    )
 
 
 def update_mom(
@@ -462,15 +526,7 @@ def update_mom(
 ) -> tuple[str, list[float]]:
     """One momentum update: k candidates on independent substreams, generated
     through ``pool``, then selection."""
-    if len(history) == 0:
-        raise EmptyHistoryError("momentum update needs at least one record")
-    iteration = history.last().iteration
-    streams = rng.spawn(gen.candidates)
-    candidates = pool.map(
-        lambda j: momentum_generate(history, gen, streams[j], lm, tag_prefix=f"refine/iter{iteration}/cand{j}"),
-        range(gen.candidates),
-    )
-    return _select_candidate(candidates, score)
+    return _update(_momentum_candidates(history, gen, rng, lm, pool), score)
 
 
 def update_vanilla(
@@ -487,12 +543,7 @@ def update_vanilla(
     The rng argument is accepted for signature parity; vanilla generation
     consumes no client-side randomness (the backend does the sampling).
     """
-    iteration = current.iteration
-    candidates = pool.map(
-        lambda j: generate_vanilla(current, gen, lm, tag_prefix=f"refine/iter{iteration}/cand{j}"),
-        range(gen.candidates),
-    )
-    return _select_candidate(candidates, score)
+    return _update(_vanilla_candidates(current, gen, lm, pool), score)
 
 
 def update_concat(
@@ -505,17 +556,7 @@ def update_concat(
 ) -> tuple[str, list[float]]:
     """Concatenation-baseline update: the vanilla block loop over the whole
     joined history, one candidate per ``pool`` item."""
-    if len(history) == 0:
-        raise EmptyHistoryError("concat update needs at least one record")
-    iteration = history.last().iteration
-    conditioning = concat_momentum_prompt(history, len(history), gen.refine_template)
-    candidates = pool.map(
-        lambda j: _generate_blocks(
-            lambda block: conditioning, gen, lm, tag_prefix=f"refine/iter{iteration}/cand{j}"
-        ),
-        range(gen.candidates),
-    )
-    return _select_candidate(candidates, score)
+    return _update(_concat_candidates(history, gen, lm, pool), score)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +603,12 @@ def run_tsgd(
     row list is attached to the raised exception as ``partial_run_log``.
 
     Up to ``max_inflight`` gateway calls run at once: the batch forward
-    passes, the k candidate generations and each score's forward passes fan
-    out over one :class:`CallPool`. Every request and its place in the
-    result are fixed before it is sent, so the result is byte-identical for
-    every ``max_inflight``; 1 keeps the sequential call order.
+    passes, the k candidate generations and the k x |holdout| forward
+    passes that score them (one batch per iteration, unless ``score_fn``
+    is a plain callable) fan out over one :class:`CallPool`. Every request
+    and its place in the result are fixed before it is sent, so the result
+    is byte-identical for every ``max_inflight``; 1 keeps the sequential
+    call order.
     """
     if rng is None:
         root_seed = config.seed
@@ -633,20 +676,15 @@ def run_tsgd(
                 record = dataclasses.replace(record, gradient_text=gradient)
             history.append(record)
 
-            cand_rng = substream(root_seed, STREAM_CANDIDATES, t)
             if gen.mode is GenerationMode.CONCAT_BASELINE:
-                next_prompt, cand_scores = update_concat(history, gen, score, cand_rng, counter, calls)
+                candidates = _concat_candidates(history, gen, counter, calls)
             elif config.use_momentum:
-                next_prompt, cand_scores = update_mom(history, gen, score, cand_rng, counter, calls)
+                cand_rng = substream(root_seed, STREAM_CANDIDATES, t)
+                candidates = _momentum_candidates(history, gen, cand_rng, counter, calls)
             else:
-                next_prompt, cand_scores = update_vanilla(record, gen, score, cand_rng, counter, calls)
-
-            if cand_scores:
-                index = max(range(len(cand_scores)), key=lambda i: cand_scores[i])
-                value = cand_scores[index]
-            else:
-                index = 0
-                value = float(score(next_prompt))
+                candidates = _vanilla_candidates(record, gen, counter, calls)
+            index, value, cand_scores = _select_candidate(candidates, score)
+            next_prompt = candidates[index]
             snapshot(t + 1, next_prompt, value, cand_scores, index)
             current_prompt = next_prompt
 

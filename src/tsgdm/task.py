@@ -147,6 +147,44 @@ def predict(
     return result.text, parse_label(result.text, label_set)
 
 
+def score_prompts(
+    prompts: Sequence[str],
+    examples: Sequence[LabeledExample],
+    lm: Backend,
+    kind: ScoreKind = ScoreKind.CLASSIFICATION_ACCURACY,
+    label_set: Sequence[str] = (),
+    forward_template: str = FORWARD_TEMPLATE,
+    tag: str = "score",
+    pool: CallPool = SEQUENTIAL,
+) -> list[float]:
+    """Mean per-example correctness of each prompt over ``examples``.
+
+    Classification counts a parsed label equal to the gold label; an
+    unmatched completion is simply wrong. Scoring zero examples raises
+    :class:`EmptySetError` rather than returning a fake 0.0. All
+    ``len(prompts) * len(examples)`` forward passes go through one
+    ``pool.map``, ordered by prompt and then by example, and example ``i``
+    is tagged ``{tag}/ex{i}`` for every prompt.
+    """
+    if not examples:
+        raise EmptySetError("cannot score a prompt over zero examples")
+    kind = ScoreKind(kind)
+
+    def forward(item: tuple[str, int, LabeledExample]) -> tuple[str, str | None]:
+        prompt_text, i, example = item
+        return predict(lm, prompt_text, example.input_text, label_set, forward_template, tag=f"{tag}/ex{i}")
+
+    items = [(p, i, example) for p in prompts for i, example in enumerate(examples)]
+    hits = []
+    for (_, _, example), (raw, parsed) in zip(items, pool.map(forward, items)):
+        if kind is ScoreKind.CLASSIFICATION_ACCURACY:
+            hits.append(parsed == example.gold_label)
+        else:
+            hits.append(exact_match_correct(raw, example.gold_label))
+    n = len(examples)
+    return [sum(hits[start : start + n]) / n for start in range(0, len(hits), n)]
+
+
 def score_prompt(
     prompt_text: str,
     examples: Sequence[LabeledExample],
@@ -157,34 +195,14 @@ def score_prompt(
     tag: str = "score",
     pool: CallPool = SEQUENTIAL,
 ) -> float:
-    """Mean per-example correctness of ``prompt_text`` over ``examples``.
-
-    Classification counts a parsed label equal to the gold label; an
-    unmatched completion is simply wrong. Scoring zero examples raises
-    :class:`EmptySetError` rather than returning a fake 0.0. The forward
-    passes run through ``pool``.
-    """
-    if not examples:
-        raise EmptySetError("cannot score a prompt over zero examples")
-    kind = ScoreKind(kind)
-
-    def forward(indexed: tuple[int, LabeledExample]) -> tuple[str, str | None]:
-        i, example = indexed
-        return predict(lm, prompt_text, example.input_text, label_set, forward_template, tag=f"{tag}/ex{i}")
-
-    outputs = pool.map(forward, enumerate(examples))
-    correct = 0
-    for example, (raw, parsed) in zip(examples, outputs):
-        if kind is ScoreKind.CLASSIFICATION_ACCURACY:
-            correct += int(parsed == example.gold_label)
-        else:
-            correct += int(exact_match_correct(raw, example.gold_label))
-    return correct / len(examples)
+    """:func:`score_prompts` for one prompt."""
+    return score_prompts([prompt_text], examples, lm, kind, label_set, forward_template, tag, pool)[0]
 
 
 @dataclass
 class ScoreFunction:
-    """Callable scorer bound to a fixed example slice and backend."""
+    """Callable scorer bound to a fixed example slice and backend;
+    :meth:`many` scores several prompts in one batch."""
 
     examples: tuple[LabeledExample, ...]
     lm: Backend
@@ -194,9 +212,9 @@ class ScoreFunction:
     tag: str = "score"
     pool: CallPool = SEQUENTIAL
 
-    def __call__(self, prompt_text: str) -> float:
-        return score_prompt(
-            prompt_text,
+    def many(self, prompts: Sequence[str]) -> list[float]:
+        return score_prompts(
+            prompts,
             self.examples,
             self.lm,
             self.kind,
@@ -205,6 +223,9 @@ class ScoreFunction:
             tag=self.tag,
             pool=self.pool,
         )
+
+    def __call__(self, prompt_text: str) -> float:
+        return self.many([prompt_text])[0]
 
 
 @dataclass

@@ -81,6 +81,11 @@ class TestParseConfig:
             parse_config("run:\n  generation:\n    alpha: 1.5\n")
         assert "alpha" in str(excinfo.value)
 
+    @pytest.mark.parametrize("template", ["x {prompt} {oops", "{prompt} {nope}"])
+    def test_unrenderable_template_is_a_config_error(self, template):
+        with pytest.raises(ConfigError, match="refine_template"):
+            parse_config_data({"run": {"generation": {"refine_template": template}}})
+
     def test_unknown_field_rejected(self):
         with pytest.raises(UnknownFieldError, match="run.blocksize"):
             parse_config("run:\n  blocksize: 3\n")

@@ -399,3 +399,51 @@ class TestCallPool:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(DomainError):
             CallPool(0)
+
+    def test_the_caller_and_width_minus_one_helpers_run_items_at_once(self):
+        # Each item holds its thread at the barrier, so the barrier opens
+        # only when four distinct threads, the caller among them, run items.
+        barrier = threading.Barrier(4, timeout=5)
+        with CallPool(4) as pool:
+            threads = pool.map(lambda i: (barrier.wait(), threading.current_thread())[1], range(4))
+        assert len(set(threads)) == 4
+        assert threading.main_thread() in threads
+
+    def test_never_more_than_max_inflight_items_at_once(self):
+        running = peak = 0
+        lock = threading.Lock()
+
+        def work(i: int) -> int:
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.001)
+            with lock:
+                running -= 1
+            return i
+
+        with CallPool(4) as pool:
+            assert pool.map(work, range(64)) == list(range(64))
+        assert 1 <= peak <= 4
+
+    def test_a_failure_in_the_callers_own_item_waits_for_the_helpers(self):
+        helper_started = threading.Event()
+        started, finished = [], []
+
+        def work(i: int) -> int:
+            started.append(i)
+            if threading.current_thread() is threading.main_thread():
+                assert helper_started.wait(5)
+                raise RuntimeError(f"caller item {i}")
+            helper_started.set()
+            time.sleep(0.05)
+            finished.append(i)
+            return i
+
+        with CallPool(2) as pool:
+            with pytest.raises(RuntimeError, match="caller item"):
+                pool.map(work, range(50))
+            # The helper's running item finished before map raised.
+            assert finished and len(finished) == len(started) - 1
+        assert len(started) < 50

@@ -366,6 +366,20 @@ class TestRemoteBackend:
         with pytest.raises(ProtocolError):
             backend.complete(REQ)
 
+    def test_unknown_finish_reason_is_protocol_error(self):
+        backend, _, _ = make_remote([FakeResponse(200, chat_body("ok", finish="content_filter"))])
+        with pytest.raises(ProtocolError, match="content_filter"):
+            backend.complete(REQ)
+
+    def test_missing_or_null_finish_reason_is_stop(self):
+        missing = chat_body("ok")
+        del missing["choices"][0]["finish_reason"]
+        backend, _, _ = make_remote(
+            [FakeResponse(200, missing), FakeResponse(200, chat_body("ok", finish=None))]
+        )
+        assert backend.complete(REQ).finish_reason is FinishReason.STOP
+        assert backend.complete(REQ).finish_reason is FinishReason.STOP
+
     def test_api_key_header_from_env(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
         backend, session, _ = make_remote([FakeResponse(200, chat_body("ok"))])

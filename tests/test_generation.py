@@ -65,6 +65,20 @@ class TestGenerationParams:
         with pytest.raises(DomainError):
             case1(mode="concat_baseline", refine_template="{prompt}")
 
+    @pytest.mark.parametrize("template", ["x {prompt} {oops", "{prompt} {nope}", "{prompt} {}"])
+    def test_refine_template_that_cannot_render_is_rejected(self, template):
+        with pytest.raises(DomainError, match="refine_template"):
+            case1(refine_template=template)
+
+    def test_each_mode_renders_only_its_own_fields(self):
+        with pytest.raises(DomainError, match="refine_template"):
+            case1(mode="case2_gradient", refine_template="{prompt} {gradient} {history}")
+        with pytest.raises(DomainError, match="refine_template"):
+            case1(mode="concat_baseline", refine_template="{history} {prompt}")
+        with pytest.raises(DomainError, match="analyze_template"):
+            case1(mode="case2_gradient", analyze_template="{prompt} {examples} {gradient}")
+        assert case1(refine_template="{prompt} {{braces}}").refine_template == "{prompt} {{braces}}"
+
 
 class TestBlockLoop:
     def test_three_length_blocks_concatenate(self):

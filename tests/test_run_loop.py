@@ -73,6 +73,12 @@ class TestPresets:
         assert config.generation.temperature == 1.1
         assert config.patience == 5
 
+    def test_preset_leaves_the_callers_generation_params_alone(self):
+        gen = GenerationParams(temperature=1.5)
+        config = RunConfig(hypothesis_preset="H0", generation=gen)
+        assert config.generation.temperature == 0.7
+        assert gen.temperature == 1.5
+
     def test_custom_forces_nothing(self):
         config = RunConfig(
             patience=9,
@@ -162,6 +168,33 @@ class TestRunLoop:
         assert calls == sorted(calls)
         assert result.total_lm_calls == calls[-1]
         assert result.total_lm_calls > 0
+
+    def test_single_candidate_is_scored_once_per_iteration(self, tiny_task):
+        backend = chain_backend()
+        result = run_tsgd(small_config(total_iterations=3, patience=9), tiny_task, backend)
+        score_tags = [r.request_tag for r in backend.call_log if r.request_tag.startswith("score/")]
+        assert len(score_tags) == 4 * len(tiny_task.holdout)
+        assert [row.candidate_scores for row in result.per_iteration] == [()] * 4
+
+    def test_a_batch_scorer_scores_each_iteration_in_one_call(self, tiny_task):
+        class BatchScore:
+            def __init__(self):
+                self.batches = []
+
+            def __call__(self, prompt_text):
+                return 0.25
+
+            def many(self, prompts):
+                self.batches.append(list(prompts))
+                return [0.5 + 0.1 * (j == 2) for j in range(len(prompts))]
+
+        score = BatchScore()
+        gen = GenerationParams(alpha=0.0, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=4)
+        config = small_config(total_iterations=2, patience=9, generation=gen)
+        result = run_tsgd(config, tiny_task, chain_backend(), score_fn=score)
+        assert [len(batch) for batch in score.batches] == [4, 4]
+        assert [row.selected_candidate_index for row in result.per_iteration] == [0, 2, 2]
+        assert [row.holdout_score for row in result.per_iteration] == [0.25, 0.6, 0.6]
 
     def test_real_holdout_scoring_counts_examples(self, tiny_task):
         config = small_config(total_iterations=0)

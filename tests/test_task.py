@@ -32,6 +32,7 @@ from tsgdm import (
     synthetic_binding,
 )
 from tsgdm.rng import STREAM_BATCH
+from tsgdm.task import score_prompts
 
 
 class TestNormalization:
@@ -225,6 +226,44 @@ class TestScorePrompt:
         examples = (LabeledExample("q1", "42"), LabeledExample("q2", "42"))
         score = score_prompt("P", examples, backend, kind=ScoreKind.EXACT_MATCH)
         assert score == 0.5
+
+    def test_score_prompts_orders_calls_by_prompt_then_example(self):
+        backend = self.backend()
+        scores = score_prompts(["P", "Q"], self.examples(), backend, label_set=("yes", "no"))
+        assert scores == [pytest.approx(2 / 3)] * 2
+        assert [(r.prompt_text.split("\n")[0], r.request_tag) for r in backend.call_log] == [
+            (prompt, f"score/ex{i}") for prompt in ("P", "Q") for i in range(3)
+        ]
+
+    @pytest.mark.parametrize("exact_match", [False, True])
+    def test_many_equals_one_call_per_prompt(self, exact_match):
+        backend = ScriptedBackend(
+            rules=[
+                ScriptRule("loose", " yes no"),
+                ScriptRule("strict\nalpha", " yes 42"),
+                ScriptRule("alpha", " yes"),
+                ScriptRule("beta", " no 42"),
+            ],
+            default_response=" 7",
+        )
+        task = TaskBinding(
+            name="t",
+            label_set=() if exact_match else ("yes", "no"),
+            train=(),
+            holdout=(
+                LabeledExample("alpha", "42" if exact_match else "yes"),
+                LabeledExample("beta", "42" if exact_match else "no"),
+                LabeledExample("gamma", "7" if exact_match else "yes"),
+            ),
+            test=(),
+            initial_prompt="P",
+            exact_match=exact_match,
+        )
+        fn = task.score_function(backend)
+        prompts = ["strict", "loose", "other", "strict"]
+        batched = fn.many(prompts)
+        assert batched == [fn(p) for p in prompts]
+        assert len(set(batched)) > 1
 
     def test_score_function_binds_split(self, tiny_task):
         backend = ScriptedBackend(
