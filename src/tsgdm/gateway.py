@@ -9,6 +9,7 @@ with results in call order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -112,19 +113,26 @@ _Item = TypeVar("_Item")
 _Out = TypeVar("_Out")
 
 
-class CallPool:
-    """Runs a function over items with at most ``max_inflight`` at once and
-    returns the results in item order.
+# A pooled task: takes no arguments and returns its follow-up tasks, if any.
+Task = Callable[[], "Iterable[Task] | None"]
 
-    ``max_inflight`` counts the caller: :meth:`map` runs items in the
+
+class CallPool:
+    """Runs tasks with at most ``max_inflight`` at once.
+
+    ``max_inflight`` counts the caller: :meth:`run` runs tasks in the
     calling thread next to up to ``max_inflight - 1`` helper threads, all
-    taking the next item from one shared cursor, so a map whose items
-    finish faster than a helper wakes up is run by the caller alone.
-    ``max_inflight=1`` runs the items one after another in the caller's
-    thread, in order, stopping at the first failure. The helper threads are
-    started once, on first use, and reused by every :meth:`map` until
-    :meth:`close`. A pooled function must not call :meth:`map` on the same
-    pool.
+    taking the next task from one first-in-first-out queue, so a queue
+    whose tasks finish faster than a helper wakes up is run by the caller
+    alone. A task may return follow-up tasks, which join the end of the
+    queue: work that needs one task's result starts as soon as that task
+    ends, in the slots the other tasks leave idle. :meth:`map` is a queue
+    of independent tasks. ``max_inflight=1`` runs the queue in order in
+    the caller's thread, stopping at the first failure, so follow-ups run
+    after every task queued before them. The helper threads are started
+    once, on first use, and reused by every :meth:`run` until
+    :meth:`close`. A pooled task must not call :meth:`run` or :meth:`map`
+    on the same pool.
     """
 
     def __init__(self, max_inflight: int = 1) -> None:
@@ -133,48 +141,84 @@ class CallPool:
         self.max_inflight = max_inflight
         self._executor: ThreadPoolExecutor | None = None
 
-    def map(self, fn: Callable[[_Item], _Out], items: Iterable[_Item]) -> list[_Out]:
-        """``[fn(item) for item in items]``, up to ``max_inflight`` at a time.
+    def run(self, tasks: Iterable[Task]) -> None:
+        """Run ``tasks`` and every follow-up they return, up to
+        ``max_inflight`` at a time.
 
-        Items start in order. Once an item has failed no further item
-        starts; the items already started are waited for, and then the
-        first failure in item order is raised, which is the failure a
+        Tasks start in queue order. A worker with nothing to take waits
+        while any task is still running, because that task may add work.
+        Once a task has failed no further task starts; the tasks already
+        started are waited for, and then the failure with the lowest queue
+        index is raised. For independent tasks that is the failure a
         sequential run would have raised.
         """
-        items = list(items)
-        if self.max_inflight == 1 or len(items) < 2:
-            return [fn(item) for item in items]
+        queue = list(tasks)
+        if self.max_inflight == 1:
+            # The loop reaches the follow-ups appended while it runs.
+            for task in queue:
+                queue.extend(task() or ())
+            return
         if self._executor is None:
             self._executor = ThreadPoolExecutor(self.max_inflight - 1, thread_name_prefix="tsgdm-call")
-        results: list = [None] * len(items)
         failures: dict[int, BaseException] = {}
-        cursor = 0
-        lock = threading.Lock()
+        cursor = running = 0
+        changed = threading.Condition()
 
         def work() -> None:
-            nonlocal cursor
+            nonlocal cursor, running
+            follow_ups = None  # those of the task this worker ran last
             while True:
-                with lock:
-                    if failures or cursor == len(items):
+                with changed:
+                    if follow_ups is not None:
+                        queue.extend(follow_ups)
+                        running -= 1
+                        if failures or not running:
+                            # Waiting workers leave, or take the follow-ups.
+                            changed.notify_all()
+                        elif len(follow_ups) > 1:
+                            # This worker takes the first follow-up itself.
+                            changed.notify(len(follow_ups) - 1)
+                    while not failures and cursor == len(queue) and running:
+                        changed.wait()
+                    if failures or cursor == len(queue):
                         return
-                    index = cursor
+                    index, task = cursor, queue[cursor]
                     cursor += 1
+                    running += 1
                 try:
-                    results[index] = fn(items[index])
+                    follow_ups = list(task() or ())
                 except BaseException as exc:  # re-raised by the caller below
-                    with lock:
+                    follow_ups = []
+                    with changed:
                         failures[index] = exc
 
-        helpers = [self._executor.submit(work) for _ in range(min(self.max_inflight, len(items)) - 1)]
+        helpers = [self._executor.submit(work) for _ in range(self.max_inflight - 1)]
         try:
             work()
         finally:
-            # A helper that has not started yet would find nothing to take.
+            # Helpers with no task left leave on their own, and one that has
+            # not started yet would find nothing to take: wait only for the
+            # tasks still running after a failure.
             for helper in helpers:
                 helper.cancel()
-            wait(helpers)
+            with changed:
+                while running:
+                    changed.wait()
         if failures:
             raise failures[min(failures)]
+
+    def map(self, fn: Callable[[_Item], _Out], items: Iterable[_Item]) -> list[_Out]:
+        """``[fn(item) for item in items]``: one :meth:`run` of a task per
+        item, with the results in item order."""
+        items = list(items)
+        if len(items) < 2:
+            return [fn(item) for item in items]
+        results: list = [None] * len(items)
+
+        def store(index: int) -> None:
+            results[index] = fn(items[index])
+
+        self.run(functools.partial(store, index) for index in range(len(items)))
         return results
 
     def close(self) -> None:

@@ -11,6 +11,7 @@ conditioning prompt.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,7 +33,7 @@ from .gateway import (
     FinishReason,
 )
 from .rng import STREAM_BATCH, STREAM_CANDIDATES, RandomStream, substream
-from .task import LabeledExample, TaskBinding, sample_batch, predict
+from .task import LabeledExample, ScoreFunction, TaskBinding, sample_batch, predict
 
 Triple = tuple[str, str, str]
 ScoreFn = Callable[[str], float]
@@ -206,24 +207,12 @@ class GenerationParams:
         with exactly those fields, so a bad template fails here and not
         mid-run."""
         if self.mode is GenerationMode.CONCAT_BASELINE:
-            _check_template("concat-baseline refine_template", self.refine_template, ("history",))
+            templates.check_template("concat-baseline refine_template", self.refine_template, ("history",))
         elif self.mode is GenerationMode.CASE2_GRADIENT:
-            _check_template("gradient-mode refine_template", self.refine_template, ("prompt", "gradient"))
-            _check_template("analyze_template", self.analyze_template, ("prompt", "examples"))
+            templates.check_template("gradient-mode refine_template", self.refine_template, ("prompt", "gradient"))
+            templates.check_template("analyze_template", self.analyze_template, ("prompt", "examples"))
         else:
-            _check_template("refine_template", self.refine_template, ("prompt",))
-
-
-def _check_template(name: str, template: str, fields: tuple[str, ...]) -> None:
-    """Raise :class:`DomainError` unless ``template`` names each of
-    ``fields`` and renders with those fields alone."""
-    for field_name in fields:
-        if not templates.has_placeholder(template, field_name):
-            raise DomainError(f"{name} needs a {{{field_name}}} placeholder")
-    try:
-        template.format(**{field_name: field_name for field_name in fields})
-    except (KeyError, IndexError, ValueError, AttributeError) as exc:
-        raise DomainError(f"{name} does not render with only {fields}: {exc!r}") from exc
+            templates.check_template("refine_template", self.refine_template, ("prompt",))
 
 
 class HypothesisPreset(str, Enum):
@@ -450,18 +439,22 @@ def compute_textual_gradient(
 # update steps
 
 
-def _select_candidate(candidates: Sequence[str], score: ScoreFn) -> tuple[int, float, list[float]]:
-    """Score every candidate and take the argmax, lowest index winning ties.
-
-    A scorer with a ``many`` method scores all candidates in one batch; a
-    plain callable is called once per candidate, in order. Returns the
-    winner's index, its score, and every candidate's score, the last empty
-    for a lone candidate: it is scored, but there is nothing to compare.
-    """
-    many = getattr(score, "many", None)
-    scores = [float(s) for s in (many(candidates) if many is not None else map(score, candidates))]
+def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
+    """The winner's index and score, lowest index winning ties, and every
+    candidate's score, empty for a lone candidate: it is scored, but there
+    is nothing to compare."""
     index = max(range(len(scores)), key=scores.__getitem__)
     return index, scores[index], scores if len(scores) > 1 else []
+
+
+def _select_candidate(candidates: Sequence[str], score: ScoreFn) -> tuple[int, float, list[float]]:
+    """Score every candidate and take the :func:`_argmax`.
+
+    A scorer with a ``many`` method scores all candidates in one batch; a
+    plain callable is called once per candidate, in order.
+    """
+    many = getattr(score, "many", None)
+    return _argmax([float(s) for s in (many(candidates) if many is not None else map(score, candidates))])
 
 
 def _update(candidates: Sequence[str], score: ScoreFn) -> tuple[str, list[float]]:
@@ -472,48 +465,55 @@ def _update(candidates: Sequence[str], score: ScoreFn) -> tuple[str, list[float]
     return candidates[index], scores
 
 
-def _momentum_candidates(
-    history: OptimizerHistory, gen: GenerationParams, rng: RandomStream, lm: Backend, pool: CallPool
-) -> list[str]:
-    """k momentum candidates on independent substreams, generated through
-    ``pool``."""
+def _candidate_tag(iteration: int, j: int) -> str:
+    return f"refine/iter{iteration}/cand{j}"
+
+
+def _momentum_maker(
+    history: OptimizerHistory, gen: GenerationParams, rng: RandomStream, lm: Backend
+) -> Callable[[int], str]:
+    """Maker of momentum candidate ``j``, each on its own substream."""
     if len(history) == 0:
         raise EmptyHistoryError("momentum update needs at least one record")
     iteration = history.last().iteration
     streams = rng.spawn(gen.candidates)
-    return pool.map(
-        lambda j: momentum_generate(history, gen, streams[j], lm, tag_prefix=f"refine/iter{iteration}/cand{j}"),
-        range(gen.candidates),
-    )
+    return lambda j: momentum_generate(history, gen, streams[j], lm, tag_prefix=_candidate_tag(iteration, j))
 
 
-def _vanilla_candidates(
-    current: PromptRecord, gen: GenerationParams, lm: Backend, pool: CallPool
-) -> list[str]:
-    """k candidates conditioned on ``current`` only, generated through
-    ``pool``."""
-    iteration = current.iteration
-    return pool.map(
-        lambda j: generate_vanilla(current, gen, lm, tag_prefix=f"refine/iter{iteration}/cand{j}"),
-        range(gen.candidates),
-    )
+def _vanilla_maker(current: PromptRecord, gen: GenerationParams, lm: Backend) -> Callable[[int], str]:
+    """Maker of candidate ``j`` conditioned on ``current`` only."""
+    return lambda j: generate_vanilla(current, gen, lm, tag_prefix=_candidate_tag(current.iteration, j))
 
 
-def _concat_candidates(
-    history: OptimizerHistory, gen: GenerationParams, lm: Backend, pool: CallPool
-) -> list[str]:
-    """k candidates of the vanilla block loop over the whole joined history,
-    one per ``pool`` item."""
+def _concat_maker(history: OptimizerHistory, gen: GenerationParams, lm: Backend) -> Callable[[int], str]:
+    """Maker of candidate ``j`` of the vanilla block loop over the whole
+    joined history."""
     if len(history) == 0:
         raise EmptyHistoryError("concat update needs at least one record")
     iteration = history.last().iteration
     conditioning = concat_momentum_prompt(history, len(history), gen.refine_template)
-    return pool.map(
-        lambda j: _generate_blocks(
-            lambda block: conditioning, gen, lm, tag_prefix=f"refine/iter{iteration}/cand{j}"
-        ),
-        range(gen.candidates),
-    )
+    return lambda j: _generate_blocks(lambda block: conditioning, gen, lm, tag_prefix=_candidate_tag(iteration, j))
+
+
+def _stream_candidates(
+    make: Callable[[int], str], k: int, score: ScoreFunction, pool: CallPool
+) -> tuple[list[str], list[float]]:
+    """Make k candidates and score each on ``score``'s examples, all in one
+    ``pool.run``: candidate ``j``'s forward passes are queued as soon as
+    it is made, behind every task queued before them."""
+    n = len(score.examples)
+    candidates = [""] * k
+    hits = [[False] * n for _ in range(k)]
+
+    def forward(j: int, i: int) -> None:
+        hits[j][i] = score.hit(candidates[j], i)
+
+    def generate(j: int) -> list[Callable[[], None]]:
+        candidates[j] = make(j)
+        return [functools.partial(forward, j, i) for i in range(n)]
+
+    pool.run(functools.partial(generate, j) for j in range(k))
+    return candidates, [sum(row) / n for row in hits]
 
 
 def update_mom(
@@ -526,7 +526,7 @@ def update_mom(
 ) -> tuple[str, list[float]]:
     """One momentum update: k candidates on independent substreams, generated
     through ``pool``, then selection."""
-    return _update(_momentum_candidates(history, gen, rng, lm, pool), score)
+    return _update(pool.map(_momentum_maker(history, gen, rng, lm), range(gen.candidates)), score)
 
 
 def update_vanilla(
@@ -543,7 +543,7 @@ def update_vanilla(
     The rng argument is accepted for signature parity; vanilla generation
     consumes no client-side randomness (the backend does the sampling).
     """
-    return _update(_vanilla_candidates(current, gen, lm, pool), score)
+    return _update(pool.map(_vanilla_maker(current, gen, lm), range(gen.candidates)), score)
 
 
 def update_concat(
@@ -556,7 +556,7 @@ def update_concat(
 ) -> tuple[str, list[float]]:
     """Concatenation-baseline update: the vanilla block loop over the whole
     joined history, one candidate per ``pool`` item."""
-    return _update(_concat_candidates(history, gen, lm, pool), score)
+    return _update(pool.map(_concat_maker(history, gen, lm), range(gen.candidates)), score)
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +602,16 @@ def run_tsgd(
     carry the root as their ``sample_seed``. On failure the partial
     row list is attached to the raised exception as ``partial_run_log``.
 
-    Up to ``max_inflight`` gateway calls run at once: the batch forward
-    passes, the k candidate generations and the k x |holdout| forward
-    passes that score them (one batch per iteration, unless ``score_fn``
-    is a plain callable) fan out over one :class:`CallPool`. Every request
-    and its place in the result are fixed before it is sent, so the result
-    is byte-identical for every ``max_inflight``; 1 keeps the sequential
-    call order.
+    Up to ``max_inflight`` gateway calls run at once over one
+    :class:`CallPool`: the batch forward passes, then one queue per
+    iteration that holds the k candidate generations and, as soon as
+    candidate j is made, its |holdout| forward passes. A ``score_fn`` that
+    is not a :class:`ScoreFunction` instead scores all k candidates after
+    they are made, in one ``many`` batch if it has one. Every request and
+    its place in the result are fixed before it is sent, so the result is
+    byte-identical for every ``max_inflight``; 1 keeps the sequential call
+    order: all k generations, then the forward passes by candidate and
+    example.
     """
     if rng is None:
         root_seed = config.seed
@@ -677,13 +680,17 @@ def run_tsgd(
             history.append(record)
 
             if gen.mode is GenerationMode.CONCAT_BASELINE:
-                candidates = _concat_candidates(history, gen, counter, calls)
+                make = _concat_maker(history, gen, counter)
             elif config.use_momentum:
-                cand_rng = substream(root_seed, STREAM_CANDIDATES, t)
-                candidates = _momentum_candidates(history, gen, cand_rng, counter, calls)
+                make = _momentum_maker(history, gen, substream(root_seed, STREAM_CANDIDATES, t), counter)
             else:
-                candidates = _vanilla_candidates(record, gen, counter, calls)
-            index, value, cand_scores = _select_candidate(candidates, score)
+                make = _vanilla_maker(record, gen, counter)
+            if isinstance(score, ScoreFunction):
+                candidates, scores = _stream_candidates(make, gen.candidates, score, calls)
+                index, value, cand_scores = _argmax(scores)
+            else:
+                candidates = calls.map(make, range(gen.candidates))
+                index, value, cand_scores = _select_candidate(candidates, score)
             next_prompt = candidates[index]
             snapshot(t + 1, next_prompt, value, cand_scores, index)
             current_prompt = next_prompt

@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import DomainError, EmptySetError, LabelError, ParseError, SizeError
 from .gateway import SEQUENTIAL, Backend, CallPool, CompletionRequest
 from .rng import STREAM_TASK, RandomStream, substream
-from .templates import FORWARD_TEMPLATE, render_forward
+from .templates import FORWARD_TEMPLATE, check_template, render_forward
 
 # Decoding settings for every forward pass: greedy, short budget.
 EVAL_MAX_TOKENS = 16
@@ -157,32 +157,10 @@ def score_prompts(
     tag: str = "score",
     pool: CallPool = SEQUENTIAL,
 ) -> list[float]:
-    """Mean per-example correctness of each prompt over ``examples``.
-
-    Classification counts a parsed label equal to the gold label; an
-    unmatched completion is simply wrong. Scoring zero examples raises
-    :class:`EmptySetError` rather than returning a fake 0.0. All
-    ``len(prompts) * len(examples)`` forward passes go through one
-    ``pool.map``, ordered by prompt and then by example, and example ``i``
-    is tagged ``{tag}/ex{i}`` for every prompt.
-    """
-    if not examples:
-        raise EmptySetError("cannot score a prompt over zero examples")
-    kind = ScoreKind(kind)
-
-    def forward(item: tuple[str, int, LabeledExample]) -> tuple[str, str | None]:
-        prompt_text, i, example = item
-        return predict(lm, prompt_text, example.input_text, label_set, forward_template, tag=f"{tag}/ex{i}")
-
-    items = [(p, i, example) for p in prompts for i, example in enumerate(examples)]
-    hits = []
-    for (_, _, example), (raw, parsed) in zip(items, pool.map(forward, items)):
-        if kind is ScoreKind.CLASSIFICATION_ACCURACY:
-            hits.append(parsed == example.gold_label)
-        else:
-            hits.append(exact_match_correct(raw, example.gold_label))
-    n = len(examples)
-    return [sum(hits[start : start + n]) / n for start in range(0, len(hits), n)]
+    """:meth:`ScoreFunction.many` over ``examples``."""
+    return ScoreFunction(
+        tuple(examples), lm, ScoreKind(kind), tuple(label_set), forward_template, tag, pool
+    ).many(prompts)
 
 
 def score_prompt(
@@ -202,7 +180,8 @@ def score_prompt(
 @dataclass
 class ScoreFunction:
     """Callable scorer bound to a fixed example slice and backend;
-    :meth:`many` scores several prompts in one batch."""
+    :meth:`many` scores several prompts in one batch of :meth:`hit`
+    forward passes."""
 
     examples: tuple[LabeledExample, ...]
     lm: Backend
@@ -213,19 +192,36 @@ class ScoreFunction:
     pool: CallPool = SEQUENTIAL
 
     def many(self, prompts: Sequence[str]) -> list[float]:
-        return score_prompts(
-            prompts,
-            self.examples,
-            self.lm,
-            self.kind,
-            self.label_set,
-            self.forward_template,
-            tag=self.tag,
-            pool=self.pool,
-        )
+        """Mean :meth:`hit` of each prompt over the examples.
+
+        Scoring zero examples raises :class:`EmptySetError` rather than
+        returning a fake 0.0. All ``len(prompts) * len(examples)`` forward
+        passes go through one ``pool.map``, ordered by prompt and then by
+        example.
+        """
+        if not self.examples:
+            raise EmptySetError("cannot score a prompt over zero examples")
+        n = len(self.examples)
+        hits = self.pool.map(lambda item: self.hit(*item), [(p, i) for p in prompts for i in range(n)])
+        return [sum(hits[start : start + n]) / n for start in range(0, len(hits), n)]
 
     def __call__(self, prompt_text: str) -> float:
         return self.many([prompt_text])[0]
+
+    def hit(self, prompt_text: str, i: int) -> bool:
+        """Whether ``prompt_text`` gets example ``i`` right: one forward
+        pass, tagged ``{tag}/ex{i}`` for every prompt.
+
+        Classification counts a parsed label equal to the gold label; an
+        unmatched completion is simply wrong.
+        """
+        example = self.examples[i]
+        raw, parsed = predict(
+            self.lm, prompt_text, example.input_text, self.label_set, self.forward_template, tag=f"{self.tag}/ex{i}"
+        )
+        if self.kind == ScoreKind.CLASSIFICATION_ACCURACY:
+            return parsed == example.gold_label
+        return exact_match_correct(raw, example.gold_label)
 
 
 @dataclass
@@ -250,6 +246,7 @@ class TaskBinding:
             raise DomainError("initial_prompt must be nonempty")
         if not self.exact_match and not self.label_set:
             raise DomainError("classification tasks need a nonempty label_set")
+        check_template("forward_template", self.forward_template, ("prompt", "input"))
         seen: dict[str, str] = {}
         for split_name, split in (("train", self.train), ("holdout", self.holdout), ("test", self.test)):
             for example in split:

@@ -3,12 +3,15 @@
 Templates are plain ``str.format`` strings. A refine template must contain
 ``{prompt}`` (plus ``{gradient}`` in feedback mode); the analysis template
 must contain ``{prompt}`` and ``{examples}``; the history template for the
-concatenation baseline must contain ``{history}``.
+concatenation baseline must contain ``{history}``; the forward template must
+contain ``{prompt}`` and ``{input}``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .errors import DomainError
 
 # Forward-pass layout used for every prediction. Byte layout matters: scoring
 # relies on the exact "prompt\ninput\nAnswer:" framing.
@@ -81,3 +84,15 @@ def format_triples(triples: Sequence[tuple[str, str, str]]) -> str:
 
 def has_placeholder(template: str, name: str) -> bool:
     return "{" + name + "}" in template
+
+
+def check_template(name: str, template: str, fields: tuple[str, ...]) -> None:
+    """Raise :class:`DomainError` unless ``template`` names each of
+    ``fields`` and renders with those fields alone."""
+    for field_name in fields:
+        if not has_placeholder(template, field_name):
+            raise DomainError(f"{name} needs a {{{field_name}}} placeholder")
+    try:
+        template.format(**{field_name: field_name for field_name in fields})
+    except (KeyError, IndexError, ValueError, AttributeError) as exc:
+        raise DomainError(f"{name} does not render with only {fields}: {exc!r}") from exc

@@ -447,3 +447,126 @@ class TestCallPool:
             # The helper's running item finished before map raised.
             assert finished and len(finished) == len(started) - 1
         assert len(started) < 50
+
+    def test_run_at_width_1_queues_follow_ups_behind_every_queued_task(self):
+        order = []
+
+        def step(name, *follow_ups):
+            def run():
+                order.append(name)
+                return follow_ups
+
+            return run
+
+        CallPool(1).run([step("a", step("a1", step("a1x")), step("a2")), step("b", step("b1")), step("c")])
+        assert order == ["a", "b", "c", "a1", "a2", "b1", "a1x"]
+
+    def test_run_spreads_the_follow_ups_of_one_task_over_every_worker(self):
+        barrier = threading.Barrier(4, timeout=5)
+        threads = []
+
+        def meet():
+            barrier.wait()
+            threads.append(threading.current_thread())
+
+        with CallPool(4) as pool:
+            pool.run([lambda: [meet] * 4])
+        assert len(set(threads)) == 4
+
+    def test_an_idle_worker_waits_while_a_running_task_may_add_work(self):
+        # One worker runs out of work at once; the sleeping task's two
+        # follow-ups then need both workers to pass the barrier.
+        barrier = threading.Barrier(2, timeout=5)
+
+        def meet():
+            barrier.wait()
+
+        def slow():
+            time.sleep(0.1)
+            return [meet, meet]
+
+        with CallPool(2) as pool:
+            pool.run([slow, lambda: None])
+        assert barrier.n_waiting == 0 and not barrier.broken
+
+    def test_a_failing_follow_up_stops_new_starts_and_raises_the_lowest_queue_index(self):
+        started, finished = [], []
+
+        def step(i, fail=False, sleep=0.0):
+            def run():
+                started.append(i)
+                time.sleep(sleep)
+                if fail:
+                    raise RuntimeError(f"task {i}")
+                finished.append(i)
+
+            return run
+
+        def seed():
+            return [step(1, fail=True, sleep=0.05), step(2, sleep=0.1), step(3, fail=True)] + [
+                step(i, sleep=0.05) for i in range(4, 50)
+            ]
+
+        with CallPool(4) as pool:
+            with pytest.raises(RuntimeError, match="task 1"):
+                pool.run([seed])
+            # Every started task that does not fail finished before run raised.
+            assert 2 in finished
+            assert sorted(finished) == sorted(set(started) - {1, 3})
+        assert len(started) < 49
+
+    def test_run_stress_matches_the_sequential_result(self):
+        def tree(seen):
+            def node(path):
+                def run():
+                    seen.append(path)
+                    return [node(path + (i,)) for i in range(3)] if len(path) < 5 else []
+
+                return run
+
+            return [node((i,)) for i in range(4)]
+
+        sequential = []
+        CallPool(1).run(tree(sequential))
+        assert len(sequential) == 4 * (1 + 3 + 9 + 27 + 81)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with CallPool(16) as pool:
+                for _ in range(5):
+                    concurrent = []
+                    pool.run(tree(concurrent))
+                    assert sorted(concurrent) == sorted(sequential)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_scoring_starts_while_other_candidates_still_generate():
+    """Candidate 1's refine call waits until candidate 0's first score call
+    arrives: only a run that scores a candidate as soon as it is made gets
+    past it."""
+    first_score = threading.Event()
+
+    class Model:
+        def complete(self, request: CompletionRequest) -> CompletionResult:
+            tag = request.request_tag
+            if tag.startswith("refine/"):
+                candidate = tag.split("/")[2]
+                if candidate == "cand1" and not first_score.wait(5):
+                    raise TimeoutError("candidate 1 was never released by candidate 0's scoring")
+                return CompletionResult(f"Name the marker, {candidate}.", FinishReason.STOP, 1, 1)
+            if tag == "score/ex0" and "cand0." in request.prompt_text:
+                first_score.set()
+            return CompletionResult(" blue", FinishReason.STOP, 1, 1)
+
+    task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
+    config = RunConfig(
+        total_iterations=1,
+        batch_size=4,
+        train_size=12,
+        hypothesis_preset="custom",
+        generation=GenerationParams(max_total_tokens=10, block_tokens=10, candidates=2),
+    )
+    result = run_tsgd(config, task, Model(), max_inflight=4)
+    assert len(result.per_iteration) == 2
+    assert first_score.is_set()

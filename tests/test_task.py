@@ -316,6 +316,11 @@ class TestTaskBinding:
         with pytest.raises(DomainError):
             self.make(label_set=())
 
+    @pytest.mark.parametrize("template", ["{prompt} {nope}", "{prompt}\nAnswer:", "{prompt} {input} {", "{prompt} {input} {}"])
+    def test_forward_template_that_cannot_render_is_rejected(self, template):
+        with pytest.raises(DomainError, match="forward_template"):
+            self.make(forward_template=template)
+
 
 class TestPresets:
     def test_all_presets_are_well_formed(self):
