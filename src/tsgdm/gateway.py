@@ -3,8 +3,8 @@
 One request/result contract served by three interchangeable backends: a
 remote OpenAI-compatible HTTP endpoint, a deterministic scripted backend for
 offline work, and a record/replay cache that wraps either. Call sites only
-ever see :func:`complete`; :class:`CallPool` keeps several of them in flight
-with results in call order.
+ever see a backend's ``complete``; :class:`CallPool` keeps several of them in
+flight with results in call order.
 """
 
 from __future__ import annotations
@@ -104,11 +104,6 @@ class Backend(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResult: ...
 
 
-def complete(backend: Backend, request: CompletionRequest) -> CompletionResult:
-    """Run one completion against ``backend``."""
-    return backend.complete(request)
-
-
 _Item = TypeVar("_Item")
 _Out = TypeVar("_Out")
 
@@ -172,8 +167,8 @@ class CallPool:
                     if follow_ups is not None:
                         queue.extend(follow_ups)
                         running -= 1
-                        if failures or not running:
-                            # Waiting workers leave, or take the follow-ups.
+                        if failures or not (running or follow_ups):
+                            # Nothing can add work any more: waiting workers leave.
                             changed.notify_all()
                         elif len(follow_ups) > 1:
                             # This worker takes the first follow-up itself.
@@ -604,27 +599,23 @@ class ReplayCache:
         return cls(mode=mode, entries=entries)
 
 
-def cached_complete(cache: ReplayCache, inner: Backend, request: CompletionRequest) -> CompletionResult:
-    """Route one request through ``cache`` in front of ``inner``."""
-    if cache.mode is CacheMode.PASSTHROUGH:
-        return inner.complete(request)
-    if cache.mode is CacheMode.REPLAY:
-        found = cache.lookup(request)
-        if found is None:
-            raise CacheMissError(f"no cached result for digest {request.digest()}")
-        return found
-    return cache.record(request, inner)
-
-
 class CachingBackend:
-    """Backend view over (cache, inner) for call sites that take one backend."""
+    """Backend view that routes each request through ``cache`` in front of
+    ``inner``, as the cache's mode says."""
 
     def __init__(self, cache: ReplayCache, inner: Backend) -> None:
         self.cache = cache
         self.inner = inner
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        return cached_complete(self.cache, self.inner, request)
+        if self.cache.mode is CacheMode.PASSTHROUGH:
+            return self.inner.complete(request)
+        if self.cache.mode is CacheMode.REPLAY:
+            found = self.cache.lookup(request)
+            if found is None:
+                raise CacheMissError(f"no cached result for digest {request.digest()}")
+            return found
+        return self.cache.record(request, self.inner)
 
 
 class CallCounter:

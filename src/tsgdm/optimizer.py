@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -31,9 +32,10 @@ from .gateway import (
     CompletionRequest,
     CompletionResult,
     FinishReason,
+    Task,
 )
 from .rng import STREAM_BATCH, STREAM_CANDIDATES, RandomStream, substream
-from .task import LabeledExample, ScoreFunction, TaskBinding, sample_batch, predict
+from .task import ScoreFunction, TaskBinding, sample_batch, predict
 
 Triple = tuple[str, str, str]
 ScoreFn = Callable[[str], float]
@@ -366,7 +368,7 @@ def _generate_blocks(
 
 
 def momentum_generate(
-    history: OptimizerHistory,
+    history: Sequence[PromptRecord],
     gen: GenerationParams,
     rng: RandomStream,
     lm: Backend,
@@ -400,14 +402,14 @@ def generate_vanilla(
     return _generate_blocks(lambda block: conditioning_text, gen, lm, tag_prefix)
 
 
-def concat_momentum_prompt(history: OptimizerHistory, window: int, template: str) -> str:
+def concat_momentum_prompt(history: Sequence[PromptRecord], window: int, template: str) -> str:
     """Conditioning text for the concatenation baseline: the last ``window``
     instructions joined oldest-first into the history template."""
     if len(history) == 0:
         raise EmptyHistoryError("concat baseline needs at least one record")
     if window < 1:
         raise DomainError(f"window must be >= 1, got {window}")
-    chosen = history.records[-window:]
+    chosen = history[-window:]
     joined = "\n".join(record.prompt_text for record in chosen)
     return template.format(history=joined)
 
@@ -470,14 +472,17 @@ def _candidate_tag(iteration: int, j: int) -> str:
 
 
 def _momentum_maker(
-    history: OptimizerHistory, gen: GenerationParams, rng: RandomStream, lm: Backend
+    history: Sequence[PromptRecord], gen: GenerationParams, stream: Callable[[int], RandomStream], lm: Backend
 ) -> Callable[[int], str]:
-    """Maker of momentum candidate ``j``, each on its own substream."""
+    """Maker of momentum candidate ``j`` on its own substream ``stream(j)``,
+    derived inside the candidate's task. Over a single record every block
+    conditions on it, as in :func:`generate_vanilla`, so no stream is made."""
     if len(history) == 0:
         raise EmptyHistoryError("momentum update needs at least one record")
-    iteration = history.last().iteration
-    streams = rng.spawn(gen.candidates)
-    return lambda j: momentum_generate(history, gen, streams[j], lm, tag_prefix=_candidate_tag(iteration, j))
+    if len(history) == 1:
+        return _vanilla_maker(history[0], gen, lm)
+    iteration = history[-1].iteration
+    return lambda j: momentum_generate(history, gen, stream(j), lm, tag_prefix=_candidate_tag(iteration, j))
 
 
 def _vanilla_maker(current: PromptRecord, gen: GenerationParams, lm: Backend) -> Callable[[int], str]:
@@ -485,35 +490,45 @@ def _vanilla_maker(current: PromptRecord, gen: GenerationParams, lm: Backend) ->
     return lambda j: generate_vanilla(current, gen, lm, tag_prefix=_candidate_tag(current.iteration, j))
 
 
-def _concat_maker(history: OptimizerHistory, gen: GenerationParams, lm: Backend) -> Callable[[int], str]:
+def _concat_maker(history: Sequence[PromptRecord], gen: GenerationParams, lm: Backend) -> Callable[[int], str]:
     """Maker of candidate ``j`` of the vanilla block loop over the whole
     joined history."""
     if len(history) == 0:
         raise EmptyHistoryError("concat update needs at least one record")
-    iteration = history.last().iteration
+    iteration = history[-1].iteration
     conditioning = concat_momentum_prompt(history, len(history), gen.refine_template)
     return lambda j: _generate_blocks(lambda block: conditioning, gen, lm, tag_prefix=_candidate_tag(iteration, j))
 
 
-def _stream_candidates(
-    make: Callable[[int], str], k: int, score: ScoreFunction, pool: CallPool
-) -> tuple[list[str], list[float]]:
-    """Make k candidates and score each on ``score``'s examples, all in one
-    ``pool.run``: candidate ``j``'s forward passes are queued as soon as
-    it is made, behind every task queued before them."""
-    n = len(score.examples)
-    candidates = [""] * k
-    hits = [[False] * n for _ in range(k)]
+class _Candidates:
+    """The k candidates of one iteration. :meth:`tasks` makes candidate
+    ``j`` in task ``j``; when ``score`` is a :class:`ScoreFunction`, that
+    task returns the candidate's forward passes over ``score``'s examples,
+    so scoring starts as soon as the candidate is made."""
 
-    def forward(j: int, i: int) -> None:
-        hits[j][i] = score.hit(candidates[j], i)
+    def __init__(self, k: int, score: ScoreFn) -> None:
+        self.score = score
+        self.texts = [""] * k
+        self.streamed = isinstance(score, ScoreFunction)
+        n = len(score.examples) if self.streamed else 0
+        self.hits = [[False] * n for _ in range(k)]
 
-    def generate(j: int) -> list[Callable[[], None]]:
-        candidates[j] = make(j)
-        return [functools.partial(forward, j, i) for i in range(n)]
+    def tasks(self, make: Callable[[int], str]) -> list[Task]:
+        return [functools.partial(self._generate, make, j) for j in range(len(self.texts))]
 
-    pool.run(functools.partial(generate, j) for j in range(k))
-    return candidates, [sum(row) / n for row in hits]
+    def _generate(self, make: Callable[[int], str], j: int) -> list[Task]:
+        self.texts[j] = make(j)
+        return [functools.partial(self._forward, j, i) for i in range(len(self.hits[j]))]
+
+    def _forward(self, j: int, i: int) -> None:
+        self.hits[j][i] = self.score.hit(self.texts[j], i)
+
+    def select(self) -> tuple[int, float, list[float]]:
+        """The :func:`_argmax` of the streamed scores, or else of
+        ``score`` called on the finished candidates."""
+        if self.streamed:
+            return _argmax([sum(row) / len(row) for row in self.hits])
+        return _select_candidate(self.texts, self.score)
 
 
 def update_mom(
@@ -526,7 +541,8 @@ def update_mom(
 ) -> tuple[str, list[float]]:
     """One momentum update: k candidates on independent substreams, generated
     through ``pool``, then selection."""
-    return _update(pool.map(_momentum_maker(history, gen, rng, lm), range(gen.candidates)), score)
+    streams = rng.spawn(gen.candidates)
+    return _update(pool.map(_momentum_maker(history, gen, streams.__getitem__, lm), range(gen.candidates)), score)
 
 
 def update_vanilla(
@@ -603,15 +619,24 @@ def run_tsgd(
     row list is attached to the raised exception as ``partial_run_log``.
 
     Up to ``max_inflight`` gateway calls run at once over one
-    :class:`CallPool`: the batch forward passes, then one queue per
-    iteration that holds the k candidate generations and, as soon as
-    candidate j is made, its |holdout| forward passes. A ``score_fn`` that
-    is not a :class:`ScoreFunction` instead scores all k candidates after
-    they are made, in one ``many`` batch if it has one. Every request and
-    its place in the result are fixed before it is sent, so the result is
-    byte-identical for every ``max_inflight``; 1 keeps the sequential call
-    order: all k generations, then the forward passes by candidate and
-    example.
+    :class:`CallPool`, and each iteration is one ``run`` of a queue in
+    which every call is queued as soon as the values it reads exist. In
+    gradient mode the queue starts with the batch forward passes; the last
+    of them to finish queues the error analysis, which queues the k
+    candidate generations. The other modes condition only on prompt texts,
+    so their queue starts with the k generations and then the batch
+    forward passes, which fill the slots generation leaves idle. As soon as
+    candidate j is made, its |holdout| forward passes join the queue. A
+    ``score_fn`` that is not a :class:`ScoreFunction` instead scores all k
+    candidates once the queue drains, in one ``many`` batch if it has one.
+    The round's record, with its batch triples, is appended once the queue
+    drains; generation sees it earlier through a view of the history.
+
+    Every request and its place in the result are fixed before it is sent,
+    so the result is byte-identical for every ``max_inflight``. At 1 the
+    queue runs in order: in gradient mode the forward passes, the analysis,
+    the k generations, then the holdout passes by candidate and example; in
+    the other modes the k generations come before the batch forward passes.
     """
     if rng is None:
         root_seed = config.seed
@@ -651,9 +676,26 @@ def run_tsgd(
                 substream(root_seed, STREAM_BATCH, t),
                 with_replacement=config.sample_with_replacement,
             )
+            record = PromptRecord(iteration=t, prompt_text=current_prompt, holdout_score=rows[-1].holdout_score)
+            triples: list[Triple | None] = [None] * len(batch)
+            remaining = len(batch)
+            counted = threading.Lock()
+            pick = _Candidates(gen.candidates, score)
 
-            def forward(indexed: tuple[int, LabeledExample]) -> Triple:
-                i, example = indexed
+            def generations(newest: PromptRecord) -> list[Task]:
+                records = (*history, newest)
+                if gen.mode is GenerationMode.CONCAT_BASELINE:
+                    make = _concat_maker(records, gen, counter)
+                elif config.use_momentum:
+                    stream = functools.partial(substream, root_seed, STREAM_CANDIDATES, t)
+                    make = _momentum_maker(records, gen, stream, counter)
+                else:
+                    make = _vanilla_maker(newest, gen, counter)
+                return pick.tasks(make)
+
+            def forward(i: int) -> list[Task] | None:
+                nonlocal remaining
+                example = batch[i]
                 raw, parsed = predict(
                     counter,
                     current_prompt,
@@ -663,35 +705,33 @@ def run_tsgd(
                     tag=f"predict/iter{t}/ex{i}",
                 )
                 prediction = parsed if parsed is not None else raw.strip()
-                return (example.input_text, example.gold_label, prediction)
+                triples[i] = (example.input_text, example.gold_label, prediction)
+                if gen.mode is not GenerationMode.CASE2_GRADIENT:
+                    return None
+                with counted:  # the last pass to finish queues the analysis
+                    remaining -= 1
+                    last = not remaining
+                return [analyze] if last else None
 
-            triples = calls.map(forward, enumerate(batch))
-            record = PromptRecord(
-                iteration=t,
-                prompt_text=current_prompt,
-                batch_triples=tuple(triples),
-                holdout_score=rows[-1].holdout_score,
-            )
-            if gen.mode is GenerationMode.CASE2_GRADIENT:
+            def analyze() -> list[Task]:
+                nonlocal record
+                record = dataclasses.replace(record, batch_triples=tuple(triples))
                 gradient = compute_textual_gradient(
                     record, gen.analyze_template, counter, gen, tag=f"analyze/iter{t}"
                 )
                 record = dataclasses.replace(record, gradient_text=gradient)
-            history.append(record)
+                return generations(record)
 
-            if gen.mode is GenerationMode.CONCAT_BASELINE:
-                make = _concat_maker(history, gen, counter)
-            elif config.use_momentum:
-                make = _momentum_maker(history, gen, substream(root_seed, STREAM_CANDIDATES, t), counter)
+            forwards = [functools.partial(forward, i) for i in range(len(batch))]
+            if gen.mode is GenerationMode.CASE2_GRADIENT:
+                calls.run(forwards)
             else:
-                make = _vanilla_maker(record, gen, counter)
-            if isinstance(score, ScoreFunction):
-                candidates, scores = _stream_candidates(make, gen.candidates, score, calls)
-                index, value, cand_scores = _argmax(scores)
-            else:
-                candidates = calls.map(make, range(gen.candidates))
-                index, value, cand_scores = _select_candidate(candidates, score)
-            next_prompt = candidates[index]
+                # Generation reads only the prompt text, so it goes first and
+                # the forward passes fill the slots it leaves idle.
+                calls.run(generations(record) + forwards)
+            history.append(dataclasses.replace(record, batch_triples=tuple(triples)))
+            index, value, cand_scores = pick.select()
+            next_prompt = pick.texts[index]
             snapshot(t + 1, next_prompt, value, cand_scores, index)
             current_prompt = next_prompt
 

@@ -37,7 +37,6 @@ from tsgdm.gateway import (
     CallPool,
     ReplayCache,
     ScriptedBackend,
-    cached_complete,
 )
 from tsgdm.optimizer import run_tsgd
 
@@ -139,8 +138,9 @@ def test_trial_json_is_the_same_at_8_in_flight(tmp_path, monkeypatch, rule, mode
         return TagSensitiveBackend() if model == "tag_sensitive" else None
 
     sequential = run_trial(tmp_path, "seq", trial_doc(rule, 1), monkeypatch, backend())
-    concurrent = run_trial(tmp_path, "par", trial_doc(rule, 8), monkeypatch, backend())
-    assert concurrent == sequential
+    for width in (3, 8):
+        concurrent = run_trial(tmp_path, f"par{width}", trial_doc(rule, width), monkeypatch, backend())
+        assert concurrent == sequential
 
 
 @pytest.mark.parametrize("rule", ["concat", "momentum-case2", "vanilla-case1"])
@@ -206,7 +206,7 @@ def test_record_is_single_flight_per_digest():
 
     def worker(i: int) -> None:
         barrier.wait()
-        results[i] = cached_complete(cache, inner, request)
+        results[i] = CachingBackend(cache, inner).complete(request)
 
     pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
     for thread in pool:
@@ -238,7 +238,7 @@ def test_single_flight_waiters_share_a_failure_and_nothing_is_stored():
 
     def worker() -> None:
         try:
-            cached_complete(cache, Failing(), request)
+            CachingBackend(cache, Failing()).complete(request)
         except RuntimeError as exc:
             errors.append(str(exc))
 
@@ -255,7 +255,7 @@ def test_single_flight_waiters_share_a_failure_and_nothing_is_stored():
     assert errors == ["backend down", "backend down"]
     assert Failing.calls == 1
     assert len(cache) == 0
-    assert cached_complete(cache, SlowBackend(0.0), request).text == "answer 1"
+    assert CachingBackend(cache, SlowBackend(0.0)).complete(request).text == "answer 1"
 
 
 def test_record_and_budget_stress():
@@ -489,6 +489,30 @@ class TestCallPool:
             pool.run([slow, lambda: None])
         assert barrier.n_waiting == 0 and not barrier.broken
 
+    def test_a_lone_follow_up_of_the_last_running_task_then_a_fan_out_reach_every_worker(self):
+        # The shape of a gradient-mode round: the last forward pass queues
+        # the analysis alone, and the analysis fans out to every worker.
+        barrier = threading.Barrier(4, timeout=5)
+        threads = []
+
+        def meet():
+            barrier.wait()
+            threads.append(threading.current_thread())
+
+        def analyze():
+            time.sleep(0.01)
+            return [meet] * 4
+
+        def run():
+            with CallPool(4) as pool:
+                pool.run([lambda: time.sleep(0.01), lambda: [analyze]])
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(10)
+        assert not runner.is_alive()
+        assert len(set(threads)) == 4
+
     def test_a_failing_follow_up_stops_new_starts_and_raises_the_lowest_queue_index(self):
         started, finished = [], []
 
@@ -570,3 +594,63 @@ def test_scoring_starts_while_other_candidates_still_generate():
     result = run_tsgd(config, task, Model(), max_inflight=4)
     assert len(result.per_iteration) == 2
     assert first_score.is_set()
+
+
+@pytest.mark.parametrize("mode", ["case1_meta_prompt", "concat_baseline"])
+def test_batch_forward_passes_leave_generations_critical_path(mode):
+    """The first batch forward pass waits until candidate 0's first refine
+    call arrives: only a run that does not wait for the batch before it
+    generates gets past it."""
+    first_refine = threading.Event()
+
+    class Model:
+        def complete(self, request: CompletionRequest) -> CompletionResult:
+            tag = request.request_tag
+            if tag == "refine/iter0/cand0/block0":
+                first_refine.set()
+            if tag == "predict/iter0/ex0" and not first_refine.wait(5):
+                raise TimeoutError("the batch forward pass was never released by generation")
+            if tag.startswith("refine/"):
+                return CompletionResult("Name the marker.", FinishReason.STOP, 1, 1)
+            return CompletionResult(" blue", FinishReason.STOP, 1, 1)
+
+    task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
+    config = RunConfig(
+        total_iterations=1,
+        batch_size=4,
+        train_size=12,
+        hypothesis_preset="custom",
+        generation=GenerationParams(max_total_tokens=10, block_tokens=10, candidates=2, mode=mode),
+    )
+    result = run_tsgd(config, task, Model(), max_inflight=4)
+    assert len(result.per_iteration) == 2
+    assert first_refine.is_set()
+
+
+def test_gradient_mode_queues_each_call_after_what_it_reads():
+    """At 8 in flight, each analysis starts after every forward pass of its
+    batch has returned, and each refine call after its analysis returned."""
+    events: list[tuple[str, str]] = []
+    lock = threading.Lock()
+    model = TagSensitiveBackend()
+
+    class Logged:
+        def complete(self, request: CompletionRequest) -> CompletionResult:
+            with lock:
+                events.append(("start", request.request_tag))
+            result = model.complete(request)
+            with lock:
+                events.append(("end", request.request_tag))
+            return result
+
+    config = small_run_config()
+    task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
+    run_tsgd(config, task, Logged(), max_inflight=8)
+    for t in range(config.total_iterations):
+        analyze = events.index(("start", f"analyze/iter{t}"))
+        analyzed = events.index(("end", f"analyze/iter{t}"))
+        predicts = [i for i, (kind, tag) in enumerate(events) if kind == "end" and tag.startswith(f"predict/iter{t}/")]
+        refines = [i for i, (kind, tag) in enumerate(events) if kind == "start" and tag.startswith(f"refine/iter{t}/")]
+        assert len(predicts) == config.batch_size
+        assert max(predicts) < analyze
+        assert refines and min(refines) > analyzed

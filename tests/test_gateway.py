@@ -25,8 +25,6 @@ from tsgdm import (
     ReplayCache,
     ScriptRule,
     ScriptedBackend,
-    cached_complete,
-    complete,
 )
 
 REQ = CompletionRequest(prompt_text="hello", max_new_tokens=8, temperature=0.0)
@@ -124,30 +122,30 @@ class TestScriptedBackend:
         backend = ScriptedBackend(rules=[ScriptRule("hello", "hi")])
         assert backend.complete(REQ) == backend.complete(REQ)
 
-    def test_module_level_complete_delegates(self):
+    def test_complete_answers_directly(self):
         backend = ScriptedBackend(default_response="via helper")
-        assert complete(backend, REQ).text == "via helper"
+        assert backend.complete(REQ).text == "via helper"
 
 
 class TestReplayCache:
     def test_record_then_replay_zero_inner_calls(self):
         inner = ScriptedBackend(default_response="cached text")
         cache = ReplayCache(mode=CacheMode.RECORD)
-        recorded = cached_complete(cache, inner, REQ)
+        recorded = CachingBackend(cache, inner).complete(REQ)
         assert len(inner.call_log) == 1
 
         replay = ReplayCache(mode=CacheMode.REPLAY, entries=dict(cache.entries))
         fresh_inner = ScriptedBackend(default_response="should not be used")
-        replayed = cached_complete(replay, fresh_inner, REQ)
+        replayed = CachingBackend(replay, fresh_inner).complete(REQ)
         assert replayed == recorded
         assert fresh_inner.call_log == []
 
     def test_record_mode_memoizes_repeat_digests(self):
         inner = ScriptedBackend(default_response="once")
         cache = ReplayCache(mode=CacheMode.RECORD)
-        first = cached_complete(cache, inner, REQ)
+        first = CachingBackend(cache, inner).complete(REQ)
         tagged = CompletionRequest("hello", 8, 0.0, request_tag="different tag")
-        second = cached_complete(cache, inner, tagged)
+        second = CachingBackend(cache, inner).complete(tagged)
         assert first == second
         assert len(inner.call_log) == 1
         assert len(cache) == 1
@@ -155,13 +153,13 @@ class TestReplayCache:
     def test_replay_miss_raises(self):
         cache = ReplayCache(mode=CacheMode.REPLAY)
         with pytest.raises(CacheMissError):
-            cached_complete(cache, ScriptedBackend(), REQ)
+            CachingBackend(cache, ScriptedBackend()).complete(REQ)
 
     def test_passthrough_stores_nothing(self):
         inner = ScriptedBackend(default_response="live")
         cache = ReplayCache(mode=CacheMode.PASSTHROUGH)
-        cached_complete(cache, inner, REQ)
-        cached_complete(cache, inner, REQ)
+        CachingBackend(cache, inner).complete(REQ)
+        CachingBackend(cache, inner).complete(REQ)
         assert len(inner.call_log) == 2
         assert len(cache) == 0
 
@@ -169,7 +167,7 @@ class TestReplayCache:
         cache = ReplayCache(mode=CacheMode.RECORD)
         inner = ScriptedBackend(default_response="persisted")
         for prompt in ("b", "a", "c"):
-            cached_complete(cache, inner, CompletionRequest(prompt, 4, 0.0))
+            CachingBackend(cache, inner).complete(CompletionRequest(prompt, 4, 0.0))
         path = tmp_path / "cache.jsonl"
         cache.save(path)
         first_bytes = path.read_bytes()
@@ -179,7 +177,7 @@ class TestReplayCache:
         loaded = ReplayCache.load(path)
         assert loaded.mode is CacheMode.REPLAY
         assert loaded.entries == cache.entries
-        result = cached_complete(loaded, ScriptedBackend(), CompletionRequest("a", 4, 0.0))
+        result = CachingBackend(loaded, ScriptedBackend()).complete(CompletionRequest("a", 4, 0.0))
         assert result.text == "persisted"
 
     def test_load_rejects_garbage(self, tmp_path):
@@ -192,7 +190,7 @@ class TestReplayCache:
         inner = ScriptedBackend(default_response="sample")
         cache = ReplayCache(mode=CacheMode.RECORD)
         for j in range(3):
-            cached_complete(cache, inner, CompletionRequest("p", 4, 0.7, request_tag=f"refine/cand{j}"))
+            CachingBackend(cache, inner).complete(CompletionRequest("p", 4, 0.7, request_tag=f"refine/cand{j}"))
         assert len(inner.call_log) == 3
         assert len(cache) == 3
 
@@ -200,7 +198,7 @@ class TestReplayCache:
         path = tmp_path / "cache.jsonl"
         path.write_text("stale\n", encoding="utf-8")
         cache = ReplayCache(mode=CacheMode.RECORD)
-        cached_complete(cache, ScriptedBackend(default_response="x"), REQ)
+        CachingBackend(cache, ScriptedBackend(default_response="x")).complete(REQ)
         cache.save(path)
         assert ReplayCache.load(path).entries == cache.entries
         assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]

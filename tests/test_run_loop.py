@@ -23,7 +23,10 @@ from tsgdm import (
     SizeError,
     StopReason,
     run_tsgd,
+    substream,
+    update_mom,
 )
+from tsgdm.rng import STREAM_CANDIDATES
 from conftest import SequenceScore, make_marker_backend
 
 
@@ -270,6 +273,78 @@ class TestRunLoop:
         refine_calls = [r for r in backend.call_log if r.request_tag.startswith("refine")]
         assert [r.request_tag for r in analyze_calls] == ["analyze/iter0", "analyze/iter1"]
         assert all("The instruction ignores the marker word." in r.prompt_text for r in refine_calls)
+
+
+    def test_concat_conditions_on_every_prompt_up_to_the_current_one(self, tiny_task):
+        backend = ScriptedBackend(
+            rules=[
+                ScriptRule("gen-2", "gen-3"),
+                ScriptRule("gen-1", "gen-2"),
+                ScriptRule("Improved version:", "gen-1"),
+            ],
+            default_response=" blue",
+        )
+        config = small_config(
+            total_iterations=3,
+            patience=5,
+            generation=GenerationParams(
+                alpha=0.6, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=1,
+                mode="concat_baseline",
+            ),
+        )
+        result = run_tsgd(config, tiny_task, backend, score_fn=SequenceScore([0.1, 0.2, 0.3, 0.4]))
+        prompts = [row.selected_prompt for row in result.per_iteration]
+        assert prompts == [tiny_task.initial_prompt, "gen-1", "gen-2", "gen-3"]
+        for t in range(3):
+            (request,) = [r for r in backend.call_log if r.request_tag.startswith(f"refine/iter{t}/")]
+            joined = "\n".join(prompts[: t + 1])
+            assert f"<PAST_ITERATIONS>\n{joined}\n</PAST_ITERATIONS>" in request.prompt_text
+
+    def test_momentum_candidates_draw_the_streams_update_mom_spawns(self, tiny_task):
+        # Candidate j of round t draws from its own substream, made in its
+        # task; update_mom spawns the same k streams from the round's one.
+        gen = GenerationParams(alpha=1.0, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=4)
+        score = {"gen-1": 0.5, "gen-2": 0.6, "gen-3": 0.7}.get
+        backend = chain_backend()
+        result = run_tsgd(
+            small_config(total_iterations=3, patience=5, generation=gen),
+            tiny_task,
+            backend,
+            score_fn=lambda prompt: score(prompt, 0.0),
+        )
+        prompts = [row.selected_prompt for row in result.per_iteration]
+        assert len(set(prompts)) == 4
+        for t in (1, 2):
+            alone = chain_backend()
+            history = OptimizerHistory(PromptRecord(i, p) for i, p in enumerate(prompts[: t + 1]))
+            update_mom(history, gen, lambda prompt: 0.0, substream(5, STREAM_CANDIDATES, t), alone)
+            sent = [(r.request_tag, r.prompt_text) for r in backend.call_log if f"/iter{t}/" in r.request_tag]
+            refines = [entry for entry in sent if entry[0].startswith("refine/")]
+            assert refines == [(r.request_tag, r.prompt_text) for r in alone.call_log]
+
+    @pytest.mark.parametrize(
+        "mode, first",
+        [
+            # Without an analysis, generation reads only the prompt text and
+            # is queued ahead of the batch forward passes.
+            ("case1_meta_prompt", ["refine"] * 2 + ["predict"] * 3),
+            ("concat_baseline", ["refine"] * 2 + ["predict"] * 3),
+            ("case2_gradient", ["predict"] * 3 + ["analyze"] + ["refine"] * 2),
+        ],
+    )
+    def test_sequential_call_order_of_each_mode(self, tiny_task, mode, first):
+        backend = make_marker_backend()
+        config = small_config(
+            total_iterations=2,
+            patience=5,
+            generation=GenerationParams(
+                alpha=0.6, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=2, mode=mode
+            ),
+        )
+        run_tsgd(config, tiny_task, backend)
+        holdout = ["score"] * len(tiny_task.holdout)
+        phases = [r.request_tag.split("/")[0] for r in backend.call_log]
+        assert phases == holdout + (first + holdout * 2) * 2
 
 
 class FlakyBackend:

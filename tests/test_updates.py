@@ -18,6 +18,7 @@ from tsgdm import (
     update_mom,
     update_vanilla,
 )
+from tsgdm.rng import STREAM_CANDIDATES
 from conftest import MappedScore
 
 
@@ -127,6 +128,18 @@ class TestUpdateMom:
         assert len(sources) > 1  # both records actually get sampled
 
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 3])
+    def test_a_candidates_own_substream_is_its_spawned_stream(self, seed):
+        # run_tsgd derives candidate j's stream inside the candidate's task;
+        # update_mom spawns the k streams from the iteration's substream.
+        # Both must draw the same numbers.
+        for t in (0, 1, 5):
+            spawned = substream(seed, STREAM_CANDIDATES, t).spawn(20)
+            for j in (0, 3, 19):
+                own = substream(seed, STREAM_CANDIDATES, t, j)
+                assert own.random(16).tolist() == spawned[j].random(16).tolist()
+
+
 class TestUpdateVanilla:
     def test_k1_unscored(self):
         score = MappedScore({})
@@ -158,6 +171,16 @@ class TestAlphaZeroDegeneracy:
         assert mom == van
         assert mom_backend.call_log == van_backend.call_log
 
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_over_one_record_momentum_is_vanilla_at_any_alpha(self, alpha):
+        score = lambda p: 0.1
+        mom_backend = chain_backend()
+        van_backend = chain_backend()
+        mom = update_mom(history_of("SEED-A"), gen_with(3, alpha=alpha), score, substream(5, 1, 0), mom_backend)
+        van = update_vanilla(PromptRecord(0, "SEED-A"), gen_with(3, alpha=alpha), score, substream(5, 1, 0), van_backend)
+        assert mom == van
+        assert mom_backend.call_log == van_backend.call_log
 
 class TestUpdateConcat:
     def test_conditioning_contains_all_history(self):
