@@ -1,11 +1,18 @@
 """Momentum-based textual prompt optimization.
 
-The optimizer keeps every past instruction in an append-only history. A
-vanilla update rewrites only the newest instruction; the momentum update
-samples, for every block of generated tokens, which past instruction to
-condition on, with probabilities decaying geometrically with age. A
-concatenation baseline instead pastes the whole history into one
-conditioning prompt.
+The optimizer keeps every past instruction in an append-only history and
+writes each new candidate block by block. The three update rules differ
+only in which conditioning text each block sees. Before its first call, a
+candidate fixes its draw plan: the source record of each of its B =
+ceil(max_total_tokens / block_tokens) blocks.
+
+- Momentum draws the plan from the history mixture, whose weights decay
+  geometrically with a record's age, so one candidate can interleave
+  continuations of several past instructions.
+- Vanilla conditions every block on the newest instruction. So does
+  momentum at alpha=0, and momentum over a single record.
+- The concatenation baseline pastes the whole history into one
+  conditioning prompt, the same for every block.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .errors import (
     EmptyHistoryError,
 )
 from .gateway import (
-    SEQUENTIAL,
     Backend,
     CallCounter,
     CallPool,
@@ -323,11 +329,15 @@ class RunResult:
 # candidate generation
 
 
+def draw_plan(weights: WeightVector, blocks: int, rng: RandomStream) -> tuple[int, ...]:
+    """The source record of each of a candidate's ``blocks`` blocks:
+    ``blocks`` successive :func:`sample_source` draws on ``rng``."""
+    return tuple(sample_source(weights, rng) for _ in range(blocks))
+
+
 def _conditioning_text(gen: GenerationParams, record: PromptRecord) -> str:
     """Refine conditioning for one source record; a sampled record always
     travels with its own error analysis in gradient mode."""
-    if gen.mode is GenerationMode.CONCAT_BASELINE:
-        raise DomainError("concat baseline conditions on the whole history, not one record")
     if gen.mode is GenerationMode.CASE2_GRADIENT:
         if record.gradient_text is None:
             raise EmptyBatchError(
@@ -339,22 +349,22 @@ def _conditioning_text(gen: GenerationParams, record: PromptRecord) -> str:
     return gen.refine_template.format(prompt=record.prompt_text)
 
 
-def _generate_blocks(
-    conditioning_for_block: Callable[[int], str],
+def generate_candidate(
+    conditioning: Sequence[str],
     gen: GenerationParams,
     lm: Backend,
     tag_prefix: str,
 ) -> str:
-    """Shared block loop: request up to block_tokens at a time, threading the
-    candidate-so-far onto the conditioning prompt as a continuation prefix,
-    until the total budget is spent or the backend stops on its own."""
+    """One candidate, block by block: block ``b`` asks for up to
+    block_tokens more tokens on ``conditioning[b]`` followed by the
+    candidate so far, until the total budget is spent or the backend stops
+    on its own."""
     parts: list[str] = []
     produced = 0
-    blocks = math.ceil(gen.max_total_tokens / gen.block_tokens)
-    for block in range(blocks):
+    for block, text in enumerate(conditioning):
         budget = min(gen.block_tokens, gen.max_total_tokens - produced)
         request = CompletionRequest(
-            prompt_text=conditioning_for_block(block) + "".join(parts),
+            prompt_text=text + "".join(parts),
             max_new_tokens=budget,
             temperature=gen.temperature,
             request_tag=f"{tag_prefix}/block{block}",
@@ -367,50 +377,12 @@ def _generate_blocks(
     return "".join(parts)
 
 
-def momentum_generate(
-    history: Sequence[PromptRecord],
-    gen: GenerationParams,
-    rng: RandomStream,
-    lm: Backend,
-    tag_prefix: str = "refine",
-) -> str:
-    """One candidate by block-wise sampling over the history mixture.
-
-    Every block independently draws a source record, so a single candidate
-    can interleave continuations of several past instructions.
-    """
-    if len(history) == 0:
-        raise EmptyHistoryError("momentum generation needs at least one record")
-    weights = momentum_weights(gen.alpha, len(history) - 1)
-
-    def conditioning(block: int) -> str:
-        source = history[sample_source(weights, rng)]
-        return _conditioning_text(gen, source)
-
-    return _generate_blocks(conditioning, gen, lm, tag_prefix)
-
-
-def generate_vanilla(
-    current: PromptRecord,
-    gen: GenerationParams,
-    lm: Backend,
-    tag_prefix: str = "refine",
-) -> str:
-    """One candidate by the same block loop, every block conditioned on
-    ``current`` only."""
-    conditioning_text = _conditioning_text(gen, current)
-    return _generate_blocks(lambda block: conditioning_text, gen, lm, tag_prefix)
-
-
-def concat_momentum_prompt(history: Sequence[PromptRecord], window: int, template: str) -> str:
-    """Conditioning text for the concatenation baseline: the last ``window``
-    instructions joined oldest-first into the history template."""
+def concat_momentum_prompt(history: Sequence[PromptRecord], template: str) -> str:
+    """Conditioning text for the concatenation baseline: every instruction
+    of ``history`` joined oldest-first into the history template."""
     if len(history) == 0:
         raise EmptyHistoryError("concat baseline needs at least one record")
-    if window < 1:
-        raise DomainError(f"window must be >= 1, got {window}")
-    chosen = history[-window:]
-    joined = "\n".join(record.prompt_text for record in chosen)
+    joined = "\n".join(record.prompt_text for record in history)
     return template.format(history=joined)
 
 
@@ -438,7 +410,44 @@ def compute_textual_gradient(
 
 
 # ---------------------------------------------------------------------------
-# update steps
+# update step
+
+
+def _candidate_tag(iteration: int, j: int) -> str:
+    return f"refine/iter{iteration}/cand{j}"
+
+
+def _maker(
+    records: Sequence[PromptRecord], gen: GenerationParams, momentum: bool, root_seed: int, lm: Backend
+) -> Callable[[int], str]:
+    """Maker of candidate ``j`` of round ``t``, the iteration of
+    ``records[-1]``, which picks each block's conditioning by the update rule:
+
+    - concat: the joined history, for every block;
+    - vanilla, or momentum over a single record: the newest record, for
+      every block, with no draw;
+    - momentum: the :func:`draw_plan` of candidate ``j``, drawn from its own
+      ``substream(root_seed, STREAM_CANDIDATES, t, j)`` inside its task.
+      Each drawn record is rendered once per round.
+    """
+    if len(records) == 0:
+        raise EmptyHistoryError("an update needs at least one record")
+    t = records[-1].iteration
+    blocks = math.ceil(gen.max_total_tokens / gen.block_tokens)
+    if gen.mode is GenerationMode.CONCAT_BASELINE:
+        conditioning = (concat_momentum_prompt(records, gen.refine_template),) * blocks
+    elif not momentum or len(records) == 1:
+        conditioning = (_conditioning_text(gen, records[-1]),) * blocks
+    else:
+        weights = momentum_weights(gen.alpha, len(records) - 1)
+        render = functools.cache(lambda source: _conditioning_text(gen, records[source]))
+
+        def make(j: int) -> str:
+            plan = draw_plan(weights, blocks, substream(root_seed, STREAM_CANDIDATES, t, j))
+            return generate_candidate([render(source) for source in plan], gen, lm, _candidate_tag(t, j))
+
+        return make
+    return lambda j: generate_candidate(conditioning, gen, lm, _candidate_tag(t, j))
 
 
 def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
@@ -447,57 +456,6 @@ def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
     is nothing to compare."""
     index = max(range(len(scores)), key=scores.__getitem__)
     return index, scores[index], scores if len(scores) > 1 else []
-
-
-def _select_candidate(candidates: Sequence[str], score: ScoreFn) -> tuple[int, float, list[float]]:
-    """Score every candidate and take the :func:`_argmax`.
-
-    A scorer with a ``many`` method scores all candidates in one batch; a
-    plain callable is called once per candidate, in order.
-    """
-    many = getattr(score, "many", None)
-    return _argmax([float(s) for s in (many(candidates) if many is not None else map(score, candidates))])
-
-
-def _update(candidates: Sequence[str], score: ScoreFn) -> tuple[str, list[float]]:
-    """A lone candidate passes through unscored; otherwise the argmax."""
-    if len(candidates) == 1:
-        return candidates[0], []
-    index, _, scores = _select_candidate(candidates, score)
-    return candidates[index], scores
-
-
-def _candidate_tag(iteration: int, j: int) -> str:
-    return f"refine/iter{iteration}/cand{j}"
-
-
-def _momentum_maker(
-    history: Sequence[PromptRecord], gen: GenerationParams, stream: Callable[[int], RandomStream], lm: Backend
-) -> Callable[[int], str]:
-    """Maker of momentum candidate ``j`` on its own substream ``stream(j)``,
-    derived inside the candidate's task. Over a single record every block
-    conditions on it, as in :func:`generate_vanilla`, so no stream is made."""
-    if len(history) == 0:
-        raise EmptyHistoryError("momentum update needs at least one record")
-    if len(history) == 1:
-        return _vanilla_maker(history[0], gen, lm)
-    iteration = history[-1].iteration
-    return lambda j: momentum_generate(history, gen, stream(j), lm, tag_prefix=_candidate_tag(iteration, j))
-
-
-def _vanilla_maker(current: PromptRecord, gen: GenerationParams, lm: Backend) -> Callable[[int], str]:
-    """Maker of candidate ``j`` conditioned on ``current`` only."""
-    return lambda j: generate_vanilla(current, gen, lm, tag_prefix=_candidate_tag(current.iteration, j))
-
-
-def _concat_maker(history: Sequence[PromptRecord], gen: GenerationParams, lm: Backend) -> Callable[[int], str]:
-    """Maker of candidate ``j`` of the vanilla block loop over the whole
-    joined history."""
-    if len(history) == 0:
-        raise EmptyHistoryError("concat update needs at least one record")
-    iteration = history[-1].iteration
-    conditioning = concat_momentum_prompt(history, len(history), gen.refine_template)
-    return lambda j: _generate_blocks(lambda block: conditioning, gen, lm, tag_prefix=_candidate_tag(iteration, j))
 
 
 class _Candidates:
@@ -525,54 +483,13 @@ class _Candidates:
 
     def select(self) -> tuple[int, float, list[float]]:
         """The :func:`_argmax` of the streamed scores, or else of
-        ``score`` called on the finished candidates."""
+        ``score`` on the finished candidates: in one batch if it has a
+        ``many`` method, else once per candidate, in order."""
         if self.streamed:
             return _argmax([sum(row) / len(row) for row in self.hits])
-        return _select_candidate(self.texts, self.score)
-
-
-def update_mom(
-    history: OptimizerHistory,
-    gen: GenerationParams,
-    score: ScoreFn,
-    rng: RandomStream,
-    lm: Backend,
-    pool: CallPool = SEQUENTIAL,
-) -> tuple[str, list[float]]:
-    """One momentum update: k candidates on independent substreams, generated
-    through ``pool``, then selection."""
-    streams = rng.spawn(gen.candidates)
-    return _update(pool.map(_momentum_maker(history, gen, streams.__getitem__, lm), range(gen.candidates)), score)
-
-
-def update_vanilla(
-    current: PromptRecord,
-    gen: GenerationParams,
-    score: ScoreFn,
-    rng: RandomStream,
-    lm: Backend,
-    pool: CallPool = SEQUENTIAL,
-) -> tuple[str, list[float]]:
-    """One vanilla update: k candidates conditioned on ``current`` only,
-    generated through ``pool``.
-
-    The rng argument is accepted for signature parity; vanilla generation
-    consumes no client-side randomness (the backend does the sampling).
-    """
-    return _update(pool.map(_vanilla_maker(current, gen, lm), range(gen.candidates)), score)
-
-
-def update_concat(
-    history: OptimizerHistory,
-    gen: GenerationParams,
-    score: ScoreFn,
-    rng: RandomStream,
-    lm: Backend,
-    pool: CallPool = SEQUENTIAL,
-) -> tuple[str, list[float]]:
-    """Concatenation-baseline update: the vanilla block loop over the whole
-    joined history, one candidate per ``pool`` item."""
-    return _update(pool.map(_concat_maker(history, gen, lm), range(gen.candidates)), score)
+        many = getattr(self.score, "many", None)
+        scores = many(self.texts) if many is not None else map(self.score, self.texts)
+        return _argmax([float(s) for s in scores])
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +523,13 @@ def run_tsgd(
 
     Each round samples a train batch, runs the current instruction over it,
     (in gradient mode) asks the backend for an error analysis, appends the
-    round's record, and produces the next instruction with the configured
-    update. Candidate selection scores come from the holdout split unless
-    ``score_fn`` overrides them. The run stops early once the best holdout
+    round's record, and makes k candidates for the next instruction.
+    Candidate j of round t is one block loop over the conditioning that its
+    update rule picks: the joined history in concat mode, the newest record
+    in vanilla mode, and in momentum mode the records of a draw plan taken
+    from its own ``substream(root, STREAM_CANDIDATES, t, j)``, which nothing
+    else reads. Candidate selection scores come from the holdout split
+    unless ``score_fn`` overrides them. The run stops early once the best holdout
     score has gone ``config.patience`` consecutive rounds without strict
     improvement, and always returns the highest-scoring prompt seen,
     including the initial one.
@@ -683,15 +604,7 @@ def run_tsgd(
             pick = _Candidates(gen.candidates, score)
 
             def generations(newest: PromptRecord) -> list[Task]:
-                records = (*history, newest)
-                if gen.mode is GenerationMode.CONCAT_BASELINE:
-                    make = _concat_maker(records, gen, counter)
-                elif config.use_momentum:
-                    stream = functools.partial(substream, root_seed, STREAM_CANDIDATES, t)
-                    make = _momentum_maker(records, gen, stream, counter)
-                else:
-                    make = _vanilla_maker(newest, gen, counter)
-                return pick.tasks(make)
+                return pick.tasks(_maker((*history, newest), gen, config.use_momentum, root_seed, counter))
 
             def forward(i: int) -> list[Task] | None:
                 nonlocal remaining

@@ -284,7 +284,7 @@ def test_criterion_7_rendering_golden_corpus():
     history = OptimizerHistory(
         [PromptRecord(0, "first instruction"), PromptRecord(1, "second instruction")]
     )
-    concat = concat_momentum_prompt(history, 2, CONCAT_HISTORY_PROMPT)
+    concat = concat_momentum_prompt(history, CONCAT_HISTORY_PROMPT)
     assert "Here are the past iterations of this variable" in concat
     assert "<PAST_ITERATIONS>\nfirst instruction\nsecond instruction\n</PAST_ITERATIONS>" in concat
     print(

@@ -17,15 +17,17 @@ from tsgdm import (
     NetworkError,
     OptimizerHistory,
     PromptRecord,
+    REFINE_PROMPT,
     RunConfig,
     ScriptRule,
     ScriptedBackend,
     SizeError,
     StopReason,
+    momentum_weights,
     run_tsgd,
     substream,
-    update_mom,
 )
+from tsgdm.optimizer import draw_plan
 from tsgdm.rng import STREAM_CANDIDATES
 from conftest import SequenceScore, make_marker_backend
 
@@ -300,9 +302,9 @@ class TestRunLoop:
             joined = "\n".join(prompts[: t + 1])
             assert f"<PAST_ITERATIONS>\n{joined}\n</PAST_ITERATIONS>" in request.prompt_text
 
-    def test_momentum_candidates_draw_the_streams_update_mom_spawns(self, tiny_task):
-        # Candidate j of round t draws from its own substream, made in its
-        # task; update_mom spawns the same k streams from the round's one.
+    def test_momentum_candidates_follow_their_draw_plans(self, tiny_task):
+        # Candidate j of round t conditions each block on the record its
+        # draw plan names, drawn from its own substream.
         gen = GenerationParams(alpha=1.0, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=4)
         score = {"gen-1": 0.5, "gen-2": 0.6, "gen-3": 0.7}.get
         backend = chain_backend()
@@ -315,12 +317,13 @@ class TestRunLoop:
         prompts = [row.selected_prompt for row in result.per_iteration]
         assert len(set(prompts)) == 4
         for t in (1, 2):
-            alone = chain_backend()
-            history = OptimizerHistory(PromptRecord(i, p) for i, p in enumerate(prompts[: t + 1]))
-            update_mom(history, gen, lambda prompt: 0.0, substream(5, STREAM_CANDIDATES, t), alone)
-            sent = [(r.request_tag, r.prompt_text) for r in backend.call_log if f"/iter{t}/" in r.request_tag]
-            refines = [entry for entry in sent if entry[0].startswith("refine/")]
-            assert refines == [(r.request_tag, r.prompt_text) for r in alone.call_log]
+            weights = momentum_weights(1.0, t)
+            sent = [(r.request_tag, r.prompt_text) for r in backend.call_log if r.request_tag.startswith(f"refine/iter{t}/")]
+            expected = []
+            for j in range(4):
+                (source,) = draw_plan(weights, 1, substream(5, STREAM_CANDIDATES, t, j))
+                expected.append((f"refine/iter{t}/cand{j}/block0", REFINE_PROMPT.format(prompt=prompts[source])))
+            assert sent == expected
 
     @pytest.mark.parametrize(
         "mode, first",
