@@ -459,17 +459,20 @@ def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
 
 
 class _Candidates:
-    """The k candidates of one iteration. :meth:`tasks` makes candidate
+    """The k candidates of iteration ``t``. :meth:`tasks` makes candidate
     ``j`` in task ``j``; when ``score`` is a :class:`ScoreFunction`, that
     task returns the candidate's forward passes over ``score``'s examples,
-    so scoring starts as soon as the candidate is made."""
+    tagged ``{score.tag}/iter{t}/cand{j}/ex{i}``, so scoring starts as soon
+    as the candidate is made."""
 
-    def __init__(self, k: int, score: ScoreFn) -> None:
+    def __init__(self, k: int, score: ScoreFn, t: int) -> None:
         self.score = score
         self.texts = [""] * k
         self.streamed = isinstance(score, ScoreFunction)
         n = len(score.examples) if self.streamed else 0
         self.hits = [[False] * n for _ in range(k)]
+        if self.streamed:
+            self.scorers = [dataclasses.replace(score, tag=f"{score.tag}/iter{t}/cand{j}") for j in range(k)]
 
     def tasks(self, make: Callable[[int], str]) -> list[Task]:
         return [functools.partial(self._generate, make, j) for j in range(len(self.texts))]
@@ -479,7 +482,7 @@ class _Candidates:
         return [functools.partial(self._forward, j, i) for i in range(len(self.hits[j]))]
 
     def _forward(self, j: int, i: int) -> None:
-        self.hits[j][i] = self.score.hit(self.texts[j], i)
+        self.hits[j][i] = self.scorers[j].hit(self.texts[j], i)
 
     def select(self) -> tuple[int, float, list[float]]:
         """The :func:`_argmax` of the streamed scores, or else of
@@ -601,7 +604,7 @@ def run_tsgd(
             triples: list[Triple | None] = [None] * len(batch)
             remaining = len(batch)
             counted = threading.Lock()
-            pick = _Candidates(gen.candidates, score)
+            pick = _Candidates(gen.candidates, score, t)
 
             def generations(newest: PromptRecord) -> list[Task]:
                 return pick.tasks(_maker((*history, newest), gen, config.use_momentum, root_seed, counter))

@@ -579,7 +579,7 @@ def test_scoring_starts_while_other_candidates_still_generate():
                 if candidate == "cand1" and not first_score.wait(5):
                     raise TimeoutError("candidate 1 was never released by candidate 0's scoring")
                 return CompletionResult(f"Name the marker, {candidate}.", FinishReason.STOP, 1, 1)
-            if tag == "score/ex0" and "cand0." in request.prompt_text:
+            if tag == "score/iter0/cand0/ex0":
                 first_score.set()
             return CompletionResult(" blue", FinishReason.STOP, 1, 1)
 

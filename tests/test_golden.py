@@ -42,16 +42,16 @@ UPDATE_RULES = {
 
 # (rule, k): (sha256 of the trial file, sha256 of the width-1 call log)
 PINS = {
-    ("concat", 1): ("2007b9750e535621f97626ae1c41d1787db40095349ebae3299c80e73eab43a5", "ef8a331673719a95b3358b854a7dfdf62af9387f03d12d4c8f2043aaa0916a89"),
-    ("concat", 4): ("5312a5278096a608c96e063e27ec26810126607385b38c81e726428816194ffd", "92526a12413784a3246fd60c3fcb074f9c3e4b967498e422c1d3ff5c3e21c2a1"),
-    ("momentum-case1", 1): ("437ff470d48871c7aa08b065a01b0bf4b0dcc17328bdea85f6d54b70888c25d4", "b57fd8e56f77b0bb53c256cf1436e2797e6bbe7fb94b8c77be11b58ca8a9eb39"),
-    ("momentum-case1", 4): ("0c5728b7faf44f7f388b50ed4c670772ceaa9605026c50116c8ecd134118f99f", "999a8b77e2d94da6983a890fbd8df8380c2f27c50e39f315eaed896080089453"),
-    ("momentum-case2", 1): ("0e3bca05411a13cc999934ca205cece7b80489812df1e20fa5726b91a0d35e40", "18979c94896b6a6f0ec1ff86dd8a9680c646698e64535199e38cdefd1eb223fc"),
-    ("momentum-case2", 4): ("5d97a83ed2dca511f16b0fec964bf552db47ee3259a7cec9080a7df117445433", "ac9f20ebe0d6146014a9a1e6ffb3f59db771d36d4fcf37825f5e719d4a50fb60"),
-    ("vanilla-case1", 1): ("e56b57754de0793d5d231f55fff4247f4e92d978e14d11f43cd64aefad4bb51e", "5ce11f14f26b563a97f18323f97fc86247c56192214b0a761f7a2c202405f9ff"),
-    ("vanilla-case1", 4): ("6feac8cc15019275f73235c3155ec020630897a6b818380ed4bf213448da3169", "6258d767d44073c6f0b85d3c3da380cd9ea6f903858bca6bd6dc240ac987838a"),
-    ("vanilla-case2", 1): ("c10e0e16fa1a3bc9be8bc199958b2a05bac9a58fcac7117f1b2d0d99acceea2e", "2ad0a6b819bd8e6662b606a01b2209be045463a34cb66b570813fbc76f7cb0b8"),
-    ("vanilla-case2", 4): ("20137559a89956612c4685799a5700b385cfda271c1f24e7fa6e30e860c9c03a", "c1df316807a08661e66bb2b7d0de13845e950e50d480f7f5dd900952a0e40b8e"),
+    ("concat", 1): ("2007b9750e535621f97626ae1c41d1787db40095349ebae3299c80e73eab43a5", "3b25f86dc2b68ca5bcfa390448b95ddf37390cca23d28539d49d842929c92357"),
+    ("concat", 4): ("5312a5278096a608c96e063e27ec26810126607385b38c81e726428816194ffd", "89ee8c36f6bc0f75c3018421f33d14eb198d5b4d80cf770b80ac457ef1c2b2c0"),
+    ("momentum-case1", 1): ("437ff470d48871c7aa08b065a01b0bf4b0dcc17328bdea85f6d54b70888c25d4", "b092cbff17de188ffe2a34a4434b97c54d56c97c8719f9dbce304aa2bd30c498"),
+    ("momentum-case1", 4): ("0c5728b7faf44f7f388b50ed4c670772ceaa9605026c50116c8ecd134118f99f", "86d298d1565a52130d270a5576863150939d565685dc97de91314f9055a90a76"),
+    ("momentum-case2", 1): ("0e3bca05411a13cc999934ca205cece7b80489812df1e20fa5726b91a0d35e40", "5e79fea2035c2f2873f0b273f76b5ccb016142c690763f305430631452cd8493"),
+    ("momentum-case2", 4): ("5d97a83ed2dca511f16b0fec964bf552db47ee3259a7cec9080a7df117445433", "d3a4d45fec4d7378f94eb05c815c057a477b9193918030518adec317a1e6f452"),
+    ("vanilla-case1", 1): ("e56b57754de0793d5d231f55fff4247f4e92d978e14d11f43cd64aefad4bb51e", "61d80c3b391f19d7163cb3b6ef732146ef22d8adb82792946fab55acc42aac03"),
+    ("vanilla-case1", 4): ("6feac8cc15019275f73235c3155ec020630897a6b818380ed4bf213448da3169", "aa3e43e07f8906e8204b5d653be88c083bc21c6852ca7f4820331689ccfa1708"),
+    ("vanilla-case2", 1): ("c10e0e16fa1a3bc9be8bc199958b2a05bac9a58fcac7117f1b2d0d99acceea2e", "63de0bbe44de52b13f8a7c942fe656368c77ce705f230585295f86c4f2bc7da9"),
+    ("vanilla-case2", 4): ("20137559a89956612c4685799a5700b385cfda271c1f24e7fa6e30e860c9c03a", "26806730fed2d2d153fde92d118bad419e9159ef4ae8093ecb898b0772e3ba34"),
 }
 
 

@@ -181,6 +181,16 @@ class TestRunLoop:
         assert len(score_tags) == 4 * len(tiny_task.holdout)
         assert [row.candidate_scores for row in result.per_iteration] == [()] * 4
 
+    def test_holdout_passes_are_tagged_with_their_iteration_and_candidate(self, tiny_task):
+        gen = GenerationParams(alpha=0.6, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=2)
+        backend = chain_backend()
+        run_tsgd(small_config(total_iterations=2, patience=9, generation=gen), tiny_task, backend)
+        examples = range(len(tiny_task.holdout))
+        expected = [f"score/ex{i}" for i in examples] + [
+            f"score/iter{t}/cand{j}/ex{i}" for t in range(2) for j in range(2) for i in examples
+        ]
+        assert [r.request_tag for r in backend.call_log if r.request_tag.startswith("score/")] == expected
+
     def test_a_batch_scorer_scores_each_iteration_in_one_call(self, tiny_task):
         class BatchScore:
             def __init__(self):
