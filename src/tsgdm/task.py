@@ -147,22 +147,6 @@ def predict(
     return result.text, parse_label(result.text, label_set)
 
 
-def score_prompts(
-    prompts: Sequence[str],
-    examples: Sequence[LabeledExample],
-    lm: Backend,
-    kind: ScoreKind = ScoreKind.CLASSIFICATION_ACCURACY,
-    label_set: Sequence[str] = (),
-    forward_template: str = FORWARD_TEMPLATE,
-    tag: str = "score",
-    pool: CallPool = SEQUENTIAL,
-) -> list[float]:
-    """:meth:`ScoreFunction.many` over ``examples``."""
-    return ScoreFunction(
-        tuple(examples), lm, ScoreKind(kind), tuple(label_set), forward_template, tag, pool
-    ).many(prompts)
-
-
 def score_prompt(
     prompt_text: str,
     examples: Sequence[LabeledExample],
@@ -173,8 +157,10 @@ def score_prompt(
     tag: str = "score",
     pool: CallPool = SEQUENTIAL,
 ) -> float:
-    """:func:`score_prompts` for one prompt."""
-    return score_prompts([prompt_text], examples, lm, kind, label_set, forward_template, tag, pool)[0]
+    """Mean accuracy of ``prompt_text`` over ``examples``: a
+    :class:`ScoreFunction` called once."""
+    score = ScoreFunction(tuple(examples), lm, ScoreKind(kind), tuple(label_set), forward_template, tag, pool)
+    return score(prompt_text)
 
 
 @dataclass
@@ -316,24 +302,6 @@ def get_preset(name: str) -> TaskPreset:
     if key not in presets:
         raise KeyError(f"unknown task preset {name!r}; known: {sorted(presets)}")
     return presets[key]
-
-
-def binding_from_preset(
-    name: str,
-    train: Sequence[LabeledExample],
-    holdout: Sequence[LabeledExample],
-    test: Sequence[LabeledExample],
-) -> TaskBinding:
-    preset = get_preset(name)
-    return TaskBinding(
-        name=preset.name,
-        label_set=preset.labels,
-        train=tuple(train),
-        holdout=tuple(holdout),
-        test=tuple(test),
-        initial_prompt=preset.initial_prompt,
-        exact_match=preset.exact_match,
-    )
 
 
 def synthetic_binding(

@@ -328,7 +328,8 @@ class TestRunLoop:
         assert len(set(prompts)) == 4
         for t in (1, 2):
             weights = momentum_weights(1.0, t)
-            sent = [(r.request_tag, r.prompt_text) for r in backend.call_log if r.request_tag.startswith(f"refine/iter{t}/")]
+            refines = [r for r in backend.call_log if r.request_tag.startswith(f"refine/iter{t}/")]
+            sent = [(r.request_tag, r.prompt_text) for r in refines]
             expected = []
             for j in range(4):
                 (source,) = draw_plan(weights, 1, substream(5, STREAM_CANDIDATES, t, j))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from tsgdm import (
@@ -11,12 +13,12 @@ from tsgdm import (
     LabelError,
     LabeledExample,
     ParseError,
+    ScoreFunction,
     ScoreKind,
     ScriptRule,
     ScriptedBackend,
     SizeError,
     TaskBinding,
-    binding_from_preset,
     exact_match_correct,
     extract_final_number,
     get_preset,
@@ -32,7 +34,7 @@ from tsgdm import (
     synthetic_binding,
 )
 from tsgdm.rng import STREAM_BATCH
-from tsgdm.task import score_prompts
+from tsgdm.cli import TaskSettings, build_task
 
 
 class TestNormalization:
@@ -229,7 +231,7 @@ class TestScorePrompt:
 
     def test_score_prompts_orders_calls_by_prompt_then_example(self):
         backend = self.backend()
-        scores = score_prompts(["P", "Q"], self.examples(), backend, label_set=("yes", "no"))
+        scores = ScoreFunction(self.examples(), backend, label_set=("yes", "no")).many(["P", "Q"])
         assert scores == [pytest.approx(2 / 3)] * 2
         assert [(r.prompt_text.split("\n")[0], r.request_tag) for r in backend.call_log] == [
             (prompt, f"score/ex{i}") for prompt in ("P", "Q") for i in range(3)
@@ -340,13 +342,13 @@ class TestPresets:
         with pytest.raises(KeyError, match="nope"):
             get_preset("nope")
 
-    def test_binding_from_preset(self):
-        binding = binding_from_preset(
-            "sst2",
-            train=(LabeledExample("a", "positive"),),
-            holdout=(LabeledExample("b", "negative"),),
-            test=(LabeledExample("c", "positive"),),
-        )
+    def test_binding_from_preset(self, tmp_path):
+        splits = {"train": ("a", "positive"), "holdout": ("b", "negative"), "test": ("c", "positive")}
+        paths = {}
+        for split, (text, label) in splits.items():
+            paths[f"{split}_path"] = str(tmp_path / f"{split}.jsonl")
+            (tmp_path / f"{split}.jsonl").write_text(json.dumps({"text": text, "label": label}) + "\n")
+        binding = build_task(TaskSettings(name="sst2", **paths))
         assert binding.name == "sst2"
         assert binding.initial_prompt == get_preset("sst2").initial_prompt
 
