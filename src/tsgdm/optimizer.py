@@ -471,8 +471,8 @@ class _Candidates:
         self.streamed = isinstance(score, ScoreFunction)
         n = len(score.examples) if self.streamed else 0
         self.hits = [[False] * n for _ in range(k)]
-        if self.streamed:
-            self.scorers = [dataclasses.replace(score, tag=f"{score.tag}/iter{t}/cand{j}") for j in range(k)]
+        tags = [f"{score.tag}/iter{t}/cand{j}" for j in range(k)] if self.streamed else []
+        self.scorers = [dataclasses.replace(score, tag=tag) for tag in tags]
 
     def tasks(self, make: Callable[[int], str]) -> list[Task]:
         return [functools.partial(self._generate, make, j) for j in range(len(self.texts))]
@@ -532,9 +532,9 @@ def run_tsgd(
     in vanilla mode, and in momentum mode the records of a draw plan taken
     from its own ``substream(root, STREAM_CANDIDATES, t, j)``, which nothing
     else reads. Candidate selection scores come from the holdout split
-    unless ``score_fn`` overrides them. The run stops early once the best holdout
-    score has gone ``config.patience`` consecutive rounds without strict
-    improvement, and always returns the highest-scoring prompt seen,
+    unless ``score_fn`` overrides them. The run stops early once the best
+    holdout score has gone ``config.patience`` consecutive rounds without
+    strict improvement, and always returns the highest-scoring prompt seen,
     including the initial one.
 
     All randomness descends from ``config.seed``; passing ``rng`` replaces
