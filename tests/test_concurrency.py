@@ -39,6 +39,7 @@ from tsgdm.gateway import (
     ScriptedBackend,
 )
 from tsgdm.optimizer import run_tsgd
+from conftest import UPDATE_RULES, run_trial, trial_doc
 
 KEY_WORDS = ("copy", "marker", "word", "exactly")
 VOCAB = KEY_WORDS + ("read", "item", "answer", "then", "name", "label", "final", "check")
@@ -85,50 +86,6 @@ class TagSensitiveBackend:
             text = " " + (gold if right else ("red" if gold == "blue" else "blue"))
             reason, tokens = FinishReason.STOP, 1
         return CompletionResult(text, reason, len(request.prompt_text.split()), tokens)
-
-
-# (generation mode, use_momentum); the concat baseline has its own mode.
-UPDATE_RULES = {
-    "vanilla-case1": ("case1_meta_prompt", False),
-    "vanilla-case2": ("case2_gradient", False),
-    "momentum-case1": ("case1_meta_prompt", True),
-    "momentum-case2": ("case2_gradient", True),
-    "concat": ("concat_baseline", True),
-}
-
-
-def trial_doc(rule: str, max_inflight: int, **backend) -> dict:
-    mode, momentum = UPDATE_RULES[rule]
-    return {
-        "run": {
-            "total_iterations": 3,
-            "batch_size": 4,
-            "train_size": 12,
-            "patience": 4,
-            "hypothesis_preset": "custom",
-            "use_momentum": momentum,
-            "generation": {
-                "alpha": 0.6,
-                "candidates": 5,
-                "block_tokens": 10,
-                "max_total_tokens": 30,
-                "temperature": 0.7,
-                "mode": mode,
-            },
-        },
-        "task": {"synthetic_train": 12, "synthetic_holdout": 6, "synthetic_test": 6},
-        "backend": {"max_inflight": max_inflight, **backend},
-    }
-
-
-def run_trial(tmp_path, name: str, doc: dict, monkeypatch, model=None) -> bytes:
-    """Run the one-trial ``doc`` through ``run_experiment`` and return the
-    trial file's bytes; ``model`` replaces the scripted backend."""
-    if model is not None:
-        monkeypatch.setattr(cli, "ScriptedBackend", lambda **_: model)
-    config = parse_config_data({**doc, "output_dir": str(tmp_path / name)})
-    run_experiment(config, echo=lambda *a: None)
-    return (tmp_path / name / "trial_000.json").read_bytes()
 
 
 @pytest.mark.parametrize("rule", sorted(UPDATE_RULES))

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import pytest
 
-import tsgdm.cli as cli
-from tsgdm.cli import parse_config_data, run_experiment
+from conftest import run_trial, trial_doc
 
 _SPEC = importlib.util.spec_from_file_location(
     "golden_sampling_backend", Path(__file__).resolve().parents[1] / "perfbench" / "sampling_backend.py"
@@ -30,15 +29,6 @@ sampling_backend = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(sampling_backend)
 
 MODEL_SEED = 3
-
-# (generation mode, use_momentum); the concat baseline has its own mode.
-UPDATE_RULES = {
-    "momentum-case1": ("case1_meta_prompt", True),
-    "momentum-case2": ("case2_gradient", True),
-    "vanilla-case1": ("case1_meta_prompt", False),
-    "vanilla-case2": ("case2_gradient", False),
-    "concat": ("concat_baseline", True),
-}
 
 # (rule, k): (sha256 of the trial file, sha256 of the width-1 call log)
 PINS = {
@@ -69,36 +59,6 @@ class LoggingModel:
         return self.inner.complete(request)
 
 
-def trial_doc(rule: str, k: int, max_inflight: int, **backend) -> dict:
-    mode, momentum = UPDATE_RULES[rule]
-    return {
-        "run": {
-            "total_iterations": 3,
-            "batch_size": 4,
-            "train_size": 12,
-            "patience": 4,
-            "hypothesis_preset": "custom",
-            "use_momentum": momentum,
-            "generation": {
-                "alpha": 0.6,
-                "candidates": k,
-                "block_tokens": 10,
-                "max_total_tokens": 30,
-                "temperature": 0.7,
-                "mode": mode,
-            },
-        },
-        "task": {"synthetic_train": 12, "synthetic_holdout": 6, "synthetic_test": 6},
-        "backend": {"max_inflight": max_inflight, **backend},
-    }
-
-
-def run_trial(tmp_path, name: str, doc: dict, monkeypatch, model) -> bytes:
-    monkeypatch.setattr(cli, "ScriptedBackend", lambda **_: model)
-    run_experiment(parse_config_data({**doc, "output_dir": str(tmp_path / name)}), echo=lambda *a: None)
-    return (tmp_path / name / "trial_000.json").read_bytes()
-
-
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -107,9 +67,9 @@ def sha256(data: bytes) -> str:
 def test_trial_file_and_call_log_are_pinned(tmp_path, monkeypatch, rule, k):
     trial_pin, log_pin = PINS[rule, k]
     model = LoggingModel()
-    sequential = run_trial(tmp_path, "w1", trial_doc(rule, k, 1), monkeypatch, model)
+    sequential = run_trial(tmp_path, "w1", trial_doc(rule, 1, k), monkeypatch, model)
     concurrent = run_trial(
-        tmp_path, "w8", trial_doc(rule, k, 8), monkeypatch, sampling_backend.SamplingBackend(MODEL_SEED)
+        tmp_path, "w8", trial_doc(rule, 8, k), monkeypatch, sampling_backend.SamplingBackend(MODEL_SEED)
     )
     log = json.dumps(model.log, ensure_ascii=False).encode("utf-8")
     assert (sha256(sequential), sha256(concurrent), sha256(log)) == (trial_pin, trial_pin, log_pin)
@@ -118,12 +78,12 @@ def test_trial_file_and_call_log_are_pinned(tmp_path, monkeypatch, rule, k):
 def test_record_then_replay_is_pinned(tmp_path, monkeypatch):
     cache = str(tmp_path / "cache.jsonl")
     recorded = run_trial(
-        tmp_path, "record", trial_doc("momentum-case2", 4, 8, cache_mode="record", cache_path=cache),
+        tmp_path, "record", trial_doc("momentum-case2", 8, 4, cache_mode="record", cache_path=cache),
         monkeypatch, sampling_backend.SamplingBackend(MODEL_SEED),
     )
     untouched = LoggingModel()
     replayed = run_trial(
-        tmp_path, "replay", trial_doc("momentum-case2", 4, 8, cache_mode="replay", cache_path=cache),
+        tmp_path, "replay", trial_doc("momentum-case2", 8, 4, cache_mode="replay", cache_path=cache),
         monkeypatch, untouched,
     )
     assert sha256(recorded) == sha256(replayed) == PINS["momentum-case2", 4][0]
