@@ -352,10 +352,21 @@ def _parse_sweep(section: Any, run: RunConfig) -> SweepSettings | None:
     parsed: list[float] = []
     for i, value in enumerate(values):
         parsed.append(_as_float(value, f"sweep.values[{i}]"))
+    mode = run.generation.mode.value
     if axis in (SweepAxis.BATCH_SIZE, SweepAxis.TRAIN_SIZE):
         for i, value in enumerate(parsed):
             if value != int(value):
                 raise ConfigError(f"sweep.values[{i}]: {axis.value} values must be integers")
+        if mode != "case2_gradient":
+            raise ConfigError(
+                f"sweep.axis: {axis.value} sweeps need run.generation.mode: case2_gradient "
+                "(only it draws a train batch)"
+            )
+    if axis is SweepAxis.ALPHA and (mode == "concat_baseline" or not run.use_momentum):
+        raise ConfigError(
+            "sweep.axis: alpha sweeps need run.use_momentum: true and a mode other than "
+            "concat_baseline (only the momentum update reads alpha)"
+        )
     if axis is SweepAxis.TEMPERATURE and run.hypothesis_preset.value != "custom":
         raise ConfigError(
             "sweep.axis: temperature sweeps need run.hypothesis_preset: custom "

@@ -41,7 +41,7 @@ from .gateway import (
     Task,
 )
 from .rng import STREAM_BATCH, STREAM_CANDIDATES, RandomStream, substream
-from .task import ScoreFunction, TaskBinding, sample_batch, predict
+from .task import ScoreFunction, TaskBinding, check_batch, sample_batch, predict
 
 Triple = tuple[str, str, str]
 ScoreFn = Callable[[str], float]
@@ -53,8 +53,8 @@ ScoreFn = Callable[[str], float]
 
 @dataclass(frozen=True)
 class PromptRecord:
-    """One optimization step: the instruction, its batch evidence, optionally
-    the error analysis written about it, and its holdout score."""
+    """One optimization step: the instruction, its holdout score, and in
+    gradient mode its batch evidence and the error analysis written on it."""
 
     iteration: int
     prompt_text: str
@@ -276,7 +276,8 @@ class StopReason(str, Enum):
 @dataclass(frozen=True)
 class IterationRow:
     """One scored prompt: row 0 is the initial prompt, row t >= 1 the prompt
-    selected at outer iteration t. Call/token counts are cumulative."""
+    selected at outer iteration t. Call/token counts are cumulative; only
+    gradient mode sends batch forward passes and analyses."""
 
     iteration: int
     selected_prompt: str
@@ -524,43 +525,45 @@ def run_tsgd(
 ) -> RunResult:
     """Optimize ``task.initial_prompt`` for ``config.total_iterations`` rounds.
 
-    Each round samples a train batch, runs the current instruction over it,
-    (in gradient mode) asks the backend for an error analysis, appends the
-    round's record, and makes k candidates for the next instruction.
-    Candidate j of round t is one block loop over the conditioning that its
-    update rule picks: the joined history in concat mode, the newest record
-    in vanilla mode, and in momentum mode the records of a draw plan taken
-    from its own ``substream(root, STREAM_CANDIDATES, t, j)``, which nothing
-    else reads. Candidate selection scores come from the holdout split
-    unless ``score_fn`` overrides them. The run stops early once the best
-    holdout score has gone ``config.patience`` consecutive rounds without
-    strict improvement, and always returns the highest-scoring prompt seen,
+    Each round makes k candidates for the next instruction; in gradient
+    mode it first runs the current instruction over a sampled train batch
+    and asks the backend for an error analysis. The other modes read only
+    prompt texts, so they draw no batch. Candidate j of round t is one
+    block loop over the conditioning that its update rule picks: the joined
+    history in concat mode, the newest record in vanilla mode, and in
+    momentum mode the records of a draw plan taken from its own
+    ``substream(root, STREAM_CANDIDATES, t, j)``, which nothing else reads.
+    Candidate selection scores come from the holdout split unless
+    ``score_fn`` overrides them. The run stops early once the best holdout
+    score has gone ``config.patience`` consecutive rounds without strict
+    improvement, and always returns the highest-scoring prompt seen,
     including the initial one.
 
     All randomness descends from ``config.seed``; passing ``rng`` replaces
     that root with a seed drawn from the given stream, and sampled requests
-    carry the root as their ``sample_seed``. On failure the partial
-    row list is attached to the raised exception as ``partial_run_log``.
+    carry the root as their ``sample_seed``. A train pool that
+    :func:`sample_batch` would refuse fails before the first call, in every
+    mode. On failure the partial row list is attached to the raised
+    exception as ``partial_run_log``.
 
     Up to ``max_inflight`` gateway calls run at once over one
     :class:`CallPool`, and each iteration is one ``run`` of a queue in
     which every call is queued as soon as the values it reads exist. In
     gradient mode the queue starts with the batch forward passes; the last
     of them to finish queues the error analysis, which queues the k
-    candidate generations. The other modes condition only on prompt texts,
-    so their queue starts with the k generations and then the batch
-    forward passes, which fill the slots generation leaves idle. As soon as
-    candidate j is made, its |holdout| forward passes join the queue. A
-    ``score_fn`` that is not a :class:`ScoreFunction` instead scores all k
-    candidates once the queue drains, in one ``many`` batch if it has one.
-    The round's record, with its batch triples, is appended once the queue
-    drains; generation sees it earlier through a view of the history.
+    candidate generations. In the other modes it starts with the k
+    generations. As soon as candidate j is made, its |holdout| forward
+    passes join the queue. A ``score_fn`` that is not a
+    :class:`ScoreFunction` instead scores all k candidates once the queue
+    drains, in one ``many`` batch if it has one. The round's record, with
+    its batch triples in gradient mode, is appended once the queue drains;
+    generation sees it earlier through a view of the history.
 
     Every request and its place in the result are fixed before it is sent,
     so the result is byte-identical for every ``max_inflight``. At 1 the
     queue runs in order: in gradient mode the forward passes, the analysis,
     the k generations, then the holdout passes by candidate and example; in
-    the other modes the k generations come before the batch forward passes.
+    the other modes the k generations, then the holdout passes.
     """
     if rng is None:
         root_seed = config.seed
@@ -588,64 +591,58 @@ def run_tsgd(
         )
 
     try:
+        if config.total_iterations:
+            check_batch(len(pool), config.batch_size, config.sample_with_replacement)
         current_prompt = task.initial_prompt
         best = float(score(current_prompt))
         snapshot(0, current_prompt, best, (), 0)
         stop_reason = StopReason.MAX_ITERATIONS
         stale = 0
         for t in range(config.total_iterations):
-            batch = sample_batch(
-                pool,
-                config.batch_size,
-                substream(root_seed, STREAM_BATCH, t),
-                with_replacement=config.sample_with_replacement,
-            )
             record = PromptRecord(iteration=t, prompt_text=current_prompt, holdout_score=rows[-1].holdout_score)
-            triples: list[Triple | None] = [None] * len(batch)
-            remaining = len(batch)
-            counted = threading.Lock()
             pick = _Candidates(gen.candidates, score, t)
 
             def generations(newest: PromptRecord) -> list[Task]:
                 return pick.tasks(_maker((*history, newest), gen, config.use_momentum, root_seed, counter))
 
-            def forward(i: int) -> list[Task] | None:
-                nonlocal remaining
-                example = batch[i]
-                raw, parsed = predict(
-                    counter,
-                    current_prompt,
-                    example.input_text,
-                    task.label_set,
-                    task.forward_template,
-                    tag=f"predict/iter{t}/ex{i}",
-                )
-                prediction = parsed if parsed is not None else raw.strip()
-                triples[i] = (example.input_text, example.gold_label, prediction)
-                if gen.mode is not GenerationMode.CASE2_GRADIENT:
-                    return None
-                with counted:  # the last pass to finish queues the analysis
-                    remaining -= 1
-                    last = not remaining
-                return [analyze] if last else None
-
-            def analyze() -> list[Task]:
-                nonlocal record
-                record = dataclasses.replace(record, batch_triples=tuple(triples))
-                gradient = compute_textual_gradient(
-                    record, gen.analyze_template, counter, gen, tag=f"analyze/iter{t}"
-                )
-                record = dataclasses.replace(record, gradient_text=gradient)
-                return generations(record)
-
-            forwards = [functools.partial(forward, i) for i in range(len(batch))]
             if gen.mode is GenerationMode.CASE2_GRADIENT:
-                calls.run(forwards)
+                batch = sample_batch(
+                    pool,
+                    config.batch_size,
+                    substream(root_seed, STREAM_BATCH, t),
+                    with_replacement=config.sample_with_replacement,
+                )
+                triples: list[Triple | None] = [None] * len(batch)
+                remaining = len(batch)
+                counted = threading.Lock()
+
+                def forward(i: int) -> list[Task] | None:
+                    nonlocal remaining
+                    example = batch[i]
+                    raw, parsed = predict(
+                        counter, current_prompt, example.input_text, task.label_set, task.forward_template,
+                        tag=f"predict/iter{t}/ex{i}",
+                    )
+                    prediction = parsed if parsed is not None else raw.strip()
+                    triples[i] = (example.input_text, example.gold_label, prediction)
+                    with counted:  # the last pass to finish queues the analysis
+                        remaining -= 1
+                        last = not remaining
+                    return [analyze] if last else None
+
+                def analyze() -> list[Task]:
+                    nonlocal record
+                    record = dataclasses.replace(record, batch_triples=tuple(triples))
+                    gradient = compute_textual_gradient(
+                        record, gen.analyze_template, counter, gen, tag=f"analyze/iter{t}"
+                    )
+                    record = dataclasses.replace(record, gradient_text=gradient)
+                    return generations(record)
+
+                calls.run([functools.partial(forward, i) for i in range(len(batch))])
             else:
-                # Generation reads only the prompt text, so it goes first and
-                # the forward passes fill the slots it leaves idle.
-                calls.run(generations(record) + forwards)
-            history.append(dataclasses.replace(record, batch_triples=tuple(triples)))
+                calls.run(generations(record))
+            history.append(record)
             index, value, cand_scores = pick.select()
             next_prompt = pick.texts[index]
             snapshot(t + 1, next_prompt, value, cand_scores, index)

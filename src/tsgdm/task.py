@@ -103,27 +103,33 @@ def load_dataset(path: str | Path, label_set: Sequence[str] = ()) -> list[Labele
     return examples
 
 
+def check_batch(pool_size: int, batch_size: int, with_replacement: bool) -> None:
+    """Raise what :func:`sample_batch` would for this pool and batch size:
+    :class:`EmptySetError` for an empty pool, and :class:`SizeError` for a
+    batch larger than the pool without replacement."""
+    if batch_size < 1:
+        raise DomainError(f"batch_size must be >= 1, got {batch_size}")
+    if not pool_size:
+        raise EmptySetError("cannot sample from an empty pool")
+    if not with_replacement and batch_size > pool_size:
+        raise SizeError(f"batch of {batch_size} from pool of {pool_size} without replacement")
+
+
 def sample_batch(
     pool: Sequence[LabeledExample],
     batch_size: int,
     rng: RandomStream,
     with_replacement: bool = False,
 ) -> list[LabeledExample]:
-    """Draw ``batch_size`` examples from ``pool``.
+    """Draw ``batch_size`` examples from ``pool``, after :func:`check_batch`.
 
     Without replacement the batch is a uniform subset (a full shuffle when
-    batch_size equals the pool size) and oversampling raises
-    :class:`SizeError`.
+    batch_size equals the pool size).
     """
-    if batch_size < 1:
-        raise DomainError(f"batch_size must be >= 1, got {batch_size}")
-    if not pool:
-        raise EmptySetError("cannot sample from an empty pool")
+    check_batch(len(pool), batch_size, with_replacement)
     if with_replacement:
         indices = rng.integers(0, len(pool), size=batch_size)
     else:
-        if batch_size > len(pool):
-            raise SizeError(f"batch of {batch_size} from pool of {len(pool)} without replacement")
         indices = rng.permutation(len(pool))[:batch_size]
     return [pool[int(i)] for i in indices]
 
@@ -321,11 +327,10 @@ def synthetic_binding(
     labels = ("blue", "red")
 
     def make(count: int, offset: int) -> tuple[LabeledExample, ...]:
-        out = []
-        for i in range(count):
-            label = labels[int(rng.integers(0, 2))]
-            out.append(LabeledExample(f"item {offset + i} carries marker {label}", label))
-        return tuple(out)
+        drawn = [labels[k] for k in rng.integers(0, 2, size=count).tolist()]
+        return tuple(
+            LabeledExample(f"item {offset + i} carries marker {label}", label) for i, label in enumerate(drawn)
+        )
 
     return TaskBinding(
         name=name,

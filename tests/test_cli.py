@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,10 @@ def tiny_config(**top) -> ExperimentConfig:
     }
     data.update(top)
     return parse_config_data(data)
+
+
+# tiny_config's generation in the one mode whose batch a sweep can vary.
+GRADIENT_GENERATION = {"candidates": 2, "block_tokens": 8, "max_total_tokens": 8, "mode": "case2_gradient"}
 
 
 def read_json(path):
@@ -165,7 +171,9 @@ class TestParseBackend:
 
 class TestParseSweep:
     def test_valid_sweep(self):
-        config = parse_config("sweep:\n  axis: batch_size\n  values: [4, 2]\n")
+        config = parse_config(
+            "run:\n  generation:\n    mode: case2_gradient\nsweep:\n  axis: batch_size\n  values: [4, 2]\n"
+        )
         assert config.sweep.axis.value == "batch_size"
         assert config.sweep.values == (4.0, 2.0)
 
@@ -188,6 +196,34 @@ class TestParseSweep:
     def test_unknown_axis(self):
         with pytest.raises(ConfigError, match="axis"):
             parse_config("sweep:\n  axis: moon_phase\n  values: [1]\n")
+
+    @pytest.mark.parametrize("axis", ["batch_size", "train_size"])
+    @pytest.mark.parametrize("mode", [None, "case1_meta_prompt", "concat_baseline"])
+    def test_batch_sweep_needs_gradient_mode(self, axis, mode):
+        # Only gradient mode draws a train batch, so elsewhere every value
+        # of the sweep would run the same trial.
+        run = {} if mode is None else {"generation": {"mode": mode}}
+        with pytest.raises(ConfigError, match="case2_gradient"):
+            parse_config_data({"run": run, "sweep": {"axis": axis, "values": [2, 4]}})
+        run = {"generation": {"mode": "case2_gradient"}}
+        config = parse_config_data({"run": run, "sweep": {"axis": axis, "values": [2, 4]}})
+        assert config.sweep.axis.value == axis
+
+    @pytest.mark.parametrize(
+        "run",
+        [{"generation": {"mode": "concat_baseline"}}, {"use_momentum": False}],
+        ids=["concat", "no-momentum"],
+    )
+    def test_alpha_sweep_needs_momentum(self, run):
+        with pytest.raises(ConfigError, match="momentum"):
+            parse_config_data({"run": run, "sweep": {"axis": "alpha", "values": [0.2, 0.8]}})
+
+    @pytest.mark.parametrize("mode", ["case1_meta_prompt", "case2_gradient"])
+    def test_alpha_sweep_under_momentum(self, mode):
+        config = parse_config_data(
+            {"run": {"generation": {"mode": mode}}, "sweep": {"axis": "alpha", "values": [0.2, 0.8]}}
+        )
+        assert config.sweep.axis.value == "alpha"
 
 
 class TestBuildTask:
@@ -340,6 +376,7 @@ class TestRunExperiment:
 class TestRunSweep:
     def test_sweep_layout_and_ordering(self, tmp_path):
         config = tiny_config(
+            run={"total_iterations": 2, "batch_size": 3, "train_size": 10, "generation": GRADIENT_GENERATION},
             trials=1,
             output_dir=str(tmp_path / "sweep"),
             sweep={"axis": "batch_size", "values": [4, 2, 3]},
@@ -358,12 +395,13 @@ class TestRunSweep:
     def test_singleton_sweep_matches_plain_run(self, tmp_path):
         run_experiment(
             tiny_config(run={"total_iterations": 2, "batch_size": 4, "train_size": 10,
-                             "generation": {"candidates": 2, "block_tokens": 8, "max_total_tokens": 8}},
+                             "generation": GRADIENT_GENERATION},
                         output_dir=str(tmp_path / "plain")),
             echo=lambda *a: None,
         )
         run_sweep(
             tiny_config(
+                run={"total_iterations": 2, "batch_size": 3, "train_size": 10, "generation": GRADIENT_GENERATION},
                 output_dir=str(tmp_path / "swept"),
                 sweep={"axis": "batch_size", "values": [4]},
             ),
@@ -434,7 +472,7 @@ class TestMain:
     def test_sweep_command(self, tmp_path, capsys):
         code = main(
             [
-                "sweep", "--axis", "batch_size", "--values", "2,4",
+                "sweep", "--axis", "batch_size", "--values", "2,4", "--mode", "case2_gradient",
                 "--output-dir", str(tmp_path / "sweep"), *self.RUN_FLAGS,
             ]
         )
@@ -485,6 +523,9 @@ class TestMain:
         ).read_bytes()
 
     def test_module_entry_point(self, tmp_path):
+        # The child imports the package the tests import, installed or not.
+        source = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [
                 sys.executable, "-m", "tsgdm.cli", "variance",
@@ -493,6 +534,7 @@ class TestMain:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "var" / "variance.csv").exists()

@@ -553,35 +553,42 @@ def test_scoring_starts_while_other_candidates_still_generate():
     assert first_score.is_set()
 
 
-@pytest.mark.parametrize("mode", ["case1_meta_prompt", "concat_baseline"])
-def test_batch_forward_passes_leave_generations_critical_path(mode):
-    """The first batch forward pass waits until candidate 0's first refine
-    call arrives: only a run that does not wait for the batch before it
-    generates gets past it."""
-    first_refine = threading.Event()
+_ITERATION_RE = re.compile(r"/iter(\d+)/")
 
-    class Model:
+
+@pytest.mark.parametrize("mode", ["case1_meta_prompt", "case2_gradient", "concat_baseline"])
+def test_only_gradient_mode_sends_batch_forward_passes(mode):
+    """Gradient mode sends |batch| forward passes an iteration. The other
+    modes read no batch and send none, so each of their rows counts just
+    the initial holdout passes and the refine calls and candidate score
+    passes sent so far."""
+    tags: list[str] = []
+    lock = threading.Lock()
+    model = TagSensitiveBackend()
+
+    class Logged:
         def complete(self, request: CompletionRequest) -> CompletionResult:
-            tag = request.request_tag
-            if tag == "refine/iter0/cand0/block0":
-                first_refine.set()
-            if tag == "predict/iter0/ex0" and not first_refine.wait(5):
-                raise TimeoutError("the batch forward pass was never released by generation")
-            if tag.startswith("refine/"):
-                return CompletionResult("Name the marker.", FinishReason.STOP, 1, 1)
-            return CompletionResult(" blue", FinishReason.STOP, 1, 1)
+            with lock:
+                tags.append(request.request_tag)
+            return model.complete(request)
 
+    gen = GenerationParams(alpha=0.6, max_total_tokens=30, block_tokens=10, temperature=0.7, candidates=5, mode=mode)
+    config = dataclasses.replace(small_run_config(), generation=gen)
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
-    config = RunConfig(
-        total_iterations=1,
-        batch_size=4,
-        train_size=12,
-        hypothesis_preset="custom",
-        generation=GenerationParams(max_total_tokens=10, block_tokens=10, candidates=2, mode=mode),
-    )
-    result = run_tsgd(config, task, Model(), max_inflight=4)
-    assert len(result.per_iteration) == 2
-    assert first_refine.is_set()
+    result = run_tsgd(config, task, Logged(), max_inflight=4)
+    assert len(result.per_iteration) == config.total_iterations + 1
+    assert result.total_lm_calls == len(tags)
+    predicts = sorted(tag for tag in tags if tag.startswith("predict/"))
+    if mode == "case2_gradient":
+        rounds, batch = range(config.total_iterations), range(config.batch_size)
+        assert predicts == sorted(f"predict/iter{t}/ex{i}" for t in rounds for i in batch)
+        return
+    assert predicts == []
+    k = config.generation.candidates
+    refine_rounds = [int(_ITERATION_RE.search(tag)[1]) for tag in tags if tag.startswith("refine/")]
+    for row in result.per_iteration:
+        refines = sum(1 for t in refine_rounds if t < row.iteration)
+        assert row.gateway_calls == len(task.holdout) * (1 + k * row.iteration) + refines
 
 
 def test_gradient_mode_queues_each_call_after_what_it_reads():

@@ -32,14 +32,14 @@ MODEL_SEED = 3
 
 # (rule, k): (sha256 of the trial file, sha256 of the width-1 call log)
 PINS = {
-    ("concat", 1): ("2007b9750e535621f97626ae1c41d1787db40095349ebae3299c80e73eab43a5", "3b25f86dc2b68ca5bcfa390448b95ddf37390cca23d28539d49d842929c92357"),
-    ("concat", 4): ("5312a5278096a608c96e063e27ec26810126607385b38c81e726428816194ffd", "89ee8c36f6bc0f75c3018421f33d14eb198d5b4d80cf770b80ac457ef1c2b2c0"),
-    ("momentum-case1", 1): ("437ff470d48871c7aa08b065a01b0bf4b0dcc17328bdea85f6d54b70888c25d4", "b092cbff17de188ffe2a34a4434b97c54d56c97c8719f9dbce304aa2bd30c498"),
-    ("momentum-case1", 4): ("0c5728b7faf44f7f388b50ed4c670772ceaa9605026c50116c8ecd134118f99f", "86d298d1565a52130d270a5576863150939d565685dc97de91314f9055a90a76"),
+    ("concat", 1): ("23f9f32183b4d36a41e88720748d64f4e8c133c5cce430704d4fe425df7fdadb", "56795449451f0ea11750fd328bb329d037a6f3cc4f266103ce45ccfe116ceeb4"),
+    ("concat", 4): ("2ff0694e0e9d48add20a31a34e2e0f627deac85915eb990240e9dca56f5074fe", "08d62c3a6af49e1f785bcd65c0aa85ccb3356fb851542e388f5bd80629d1e665"),
+    ("momentum-case1", 1): ("d3e0b5a47a9f07824f4e55f840e9bf999348fe5594c568d8b3434675b71e635d", "a3f1e49113bf8b0f3fdb05b278e847b35f2ec849786e4e9aa31645e822f4f7e5"),
+    ("momentum-case1", 4): ("11d0d6d78eefa06fde6a8bb683cbc32155edc577d75ff8c445d3342af27e0536", "dfff36a553e181854bff9e927cbcfce94eea757e86f951f0b996439c1c3a539c"),
     ("momentum-case2", 1): ("0e3bca05411a13cc999934ca205cece7b80489812df1e20fa5726b91a0d35e40", "5e79fea2035c2f2873f0b273f76b5ccb016142c690763f305430631452cd8493"),
     ("momentum-case2", 4): ("5d97a83ed2dca511f16b0fec964bf552db47ee3259a7cec9080a7df117445433", "d3a4d45fec4d7378f94eb05c815c057a477b9193918030518adec317a1e6f452"),
-    ("vanilla-case1", 1): ("e56b57754de0793d5d231f55fff4247f4e92d978e14d11f43cd64aefad4bb51e", "61d80c3b391f19d7163cb3b6ef732146ef22d8adb82792946fab55acc42aac03"),
-    ("vanilla-case1", 4): ("6feac8cc15019275f73235c3155ec020630897a6b818380ed4bf213448da3169", "aa3e43e07f8906e8204b5d653be88c083bc21c6852ca7f4820331689ccfa1708"),
+    ("vanilla-case1", 1): ("8c2fac1ee4ed04ce93047dd68bd008f922731ced90fcbfe38b7f2dc44abb7f37", "d46d3d9f56929b9c4b0a26a4cbfd87c674b2c9f469b827cf2670eba8a6bb515b"),
+    ("vanilla-case1", 4): ("1c592f68c03efa2f9f4c3c0ce6b37dfe8d57098ac03639fab43a9101065a7fba", "ed47bd22bfb7c67fa75c625293b4adf99628ac3f145f8222f05a083d0dfc8a4c"),
     ("vanilla-case2", 1): ("c10e0e16fa1a3bc9be8bc199958b2a05bac9a58fcac7117f1b2d0d99acceea2e", "63de0bbe44de52b13f8a7c942fe656368c77ce705f230585295f86c4f2bc7da9"),
     ("vanilla-case2", 4): ("20137559a89956612c4685799a5700b385cfda271c1f24e7fa6e30e860c9c03a", "26806730fed2d2d153fde92d118bad419e9159ef4ae8093ecb898b0772e3ba34"),
 }

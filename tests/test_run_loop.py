@@ -11,6 +11,7 @@ from tsgdm import (
     BudgetExceededError,
     CompletionResult,
     DomainError,
+    EmptySetError,
     FinishReason,
     GenerationParams,
     HypothesisPreset,
@@ -26,6 +27,7 @@ from tsgdm import (
     momentum_weights,
     run_tsgd,
     substream,
+    synthetic_binding,
 )
 from tsgdm.optimizer import draw_plan
 from tsgdm.rng import STREAM_CANDIDATES
@@ -232,11 +234,15 @@ class TestRunLoop:
         assert first == second
 
     def test_different_seeds_draw_different_batches(self, tiny_task):
+        # Gradient mode is the one mode that draws a batch.
+        gen = GenerationParams(
+            alpha=0.0, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=1, mode="case2_gradient"
+        )
         logs = []
         for seed in (0, 1):
             backend = make_marker_backend()
             run_tsgd(
-                small_config(total_iterations=1, seed=seed),
+                small_config(total_iterations=1, seed=seed, generation=gen),
                 tiny_task,
                 backend,
                 score_fn=SequenceScore([0.1, 0.2]),
@@ -340,9 +346,9 @@ class TestRunLoop:
         "mode, first",
         [
             # Without an analysis, generation reads only the prompt text and
-            # is queued ahead of the batch forward passes.
-            ("case1_meta_prompt", ["refine"] * 2 + ["predict"] * 3),
-            ("concat_baseline", ["refine"] * 2 + ["predict"] * 3),
+            # no batch is drawn.
+            ("case1_meta_prompt", ["refine"] * 2),
+            ("concat_baseline", ["refine"] * 2),
             ("case2_gradient", ["predict"] * 3 + ["analyze"] + ["refine"] * 2),
         ],
     )
@@ -387,10 +393,24 @@ class TestFailureHandling:
             run_tsgd(small_config(), tiny_task, make_marker_backend(), max_lm_calls=8)
         assert len(excinfo.value.partial_run_log) == 1
 
-    def test_oversized_batch_without_replacement(self, tiny_task):
-        config = small_config(batch_size=50)
+    @pytest.mark.parametrize("mode", ["case1_meta_prompt", "case2_gradient", "concat_baseline"])
+    def test_oversized_batch_without_replacement(self, tiny_task, mode):
+        # Only gradient mode draws a batch, but every mode refuses one that
+        # cannot be drawn, before its first call.
+        gen = GenerationParams(max_total_tokens=8, block_tokens=8, candidates=1, mode=mode)
+        backend = make_marker_backend()
         with pytest.raises(SizeError):
-            run_tsgd(config, tiny_task, make_marker_backend(), score_fn=SequenceScore([0.1]))
+            run_tsgd(small_config(batch_size=50, generation=gen), tiny_task, backend)
+        assert backend.call_log == []
+
+    @pytest.mark.parametrize("mode", ["case1_meta_prompt", "case2_gradient", "concat_baseline"])
+    def test_empty_train_pool(self, mode):
+        task = synthetic_binding(n_train=0, n_holdout=6, n_test=6, seed=7)
+        gen = GenerationParams(max_total_tokens=8, block_tokens=8, candidates=1, mode=mode)
+        backend = make_marker_backend()
+        with pytest.raises(EmptySetError):
+            run_tsgd(small_config(generation=gen), task, backend)
+        assert backend.call_log == []
 
     def test_oversized_batch_with_replacement_runs(self, tiny_task):
         config = small_config(batch_size=50, total_iterations=1, sample_with_replacement=True)
