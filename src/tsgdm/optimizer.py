@@ -32,6 +32,7 @@ from .errors import (
     EmptyHistoryError,
 )
 from .gateway import (
+    SEQUENTIAL,
     Backend,
     CallCounter,
     CallPool,
@@ -521,7 +522,7 @@ def run_tsgd(
     rng: RandomStream | None = None,
     score_fn: ScoreFn | None = None,
     max_lm_calls: int | None = None,
-    max_inflight: int = 1,
+    pool: CallPool = SEQUENTIAL,
 ) -> RunResult:
     """Optimize ``task.initial_prompt`` for ``config.total_iterations`` rounds.
 
@@ -546,22 +547,25 @@ def run_tsgd(
     mode. On failure the partial row list is attached to the raised
     exception as ``partial_run_log``.
 
-    Up to ``max_inflight`` gateway calls run at once over one
-    :class:`CallPool`, and each iteration is one ``run`` of a queue in
-    which every call is queued as soon as the values it reads exist. In
-    gradient mode the queue starts with the batch forward passes; the last
-    of them to finish queues the error analysis, which queues the k
-    candidate generations. In the other modes it starts with the k
-    generations. As soon as candidate j is made, its |holdout| forward
-    passes join the queue. A ``score_fn`` that is not a
-    :class:`ScoreFunction` instead scores all k candidates once the queue
-    drains, in one ``many`` batch if it has one. The round's record, with
-    its batch triples in gradient mode, is appended once the queue drains;
-    generation sees it earlier through a view of the history.
+    Every gateway call runs on ``pool``, up to its ``max_inflight`` at
+    once. The caller owns the pool: the run neither opens nor closes it, so
+    one pool can also serve whatever the caller runs next, such as a test
+    pass. Each iteration is one ``pool.run`` of a queue in which every call
+    is queued as soon as the values it reads exist. In gradient mode the
+    queue starts with the batch forward passes; the last of them to finish
+    queues the error analysis, which queues the k candidate generations.
+    In the other modes it starts with the k generations. As soon as
+    candidate j is made, its |holdout| forward passes join the queue. A
+    ``score_fn`` that is not a :class:`ScoreFunction` instead scores all k
+    candidates once the queue drains, in one ``many`` batch if it has one.
+    The round's record, with its batch triples in gradient mode, is
+    appended once the queue drains; generation sees it earlier through a
+    view of the history.
 
     Every request and its place in the result are fixed before it is sent,
-    so the result is byte-identical for every ``max_inflight``. At 1 the
-    queue runs in order: in gradient mode the forward passes, the analysis,
+    so the result is byte-identical at every pool width. The default,
+    :data:`SEQUENTIAL`, has width 1 and runs each queue in order in the
+    caller's thread: in gradient mode the forward passes, the analysis,
     the k generations, then the holdout passes by candidate and example; in
     the other modes the k generations, then the holdout passes.
     """
@@ -570,10 +574,9 @@ def run_tsgd(
     else:
         root_seed = int(rng.integers(0, 2**63))
     counter = CallCounter(_RunDraws(lm, root_seed), max_calls=max_lm_calls)
-    calls = CallPool(max_inflight)
     gen = config.generation
-    score = score_fn if score_fn is not None else task.score_function(counter, pool=calls)
-    pool = task.train[: config.train_size]
+    score = score_fn if score_fn is not None else task.score_function(counter, pool=pool)
+    train = task.train[: config.train_size]
     history = OptimizerHistory()
     rows: list[IterationRow] = []
 
@@ -592,7 +595,7 @@ def run_tsgd(
 
     try:
         if config.total_iterations:
-            check_batch(len(pool), config.batch_size, config.sample_with_replacement)
+            check_batch(len(train), config.batch_size, config.sample_with_replacement)
         current_prompt = task.initial_prompt
         best = float(score(current_prompt))
         snapshot(0, current_prompt, best, (), 0)
@@ -607,7 +610,7 @@ def run_tsgd(
 
             if gen.mode is GenerationMode.CASE2_GRADIENT:
                 batch = sample_batch(
-                    pool,
+                    train,
                     config.batch_size,
                     substream(root_seed, STREAM_BATCH, t),
                     with_replacement=config.sample_with_replacement,
@@ -639,9 +642,9 @@ def run_tsgd(
                     record = dataclasses.replace(record, gradient_text=gradient)
                     return generations(record)
 
-                calls.run([functools.partial(forward, i) for i in range(len(batch))])
+                pool.run([functools.partial(forward, i) for i in range(len(batch))])
             else:
-                calls.run(generations(record))
+                pool.run(generations(record))
             history.append(record)
             index, value, cand_scores = pick.select()
             next_prompt = pick.texts[index]
@@ -659,8 +662,6 @@ def run_tsgd(
     except Exception as exc:
         exc.partial_run_log = tuple(rows)
         raise
-    finally:
-        calls.close()
 
     best_row = max(rows, key=lambda row: row.holdout_score)
     return RunResult(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -48,6 +49,10 @@ def tiny_config(**top) -> ExperimentConfig:
 GRADIENT_GENERATION = {"candidates": 2, "block_tokens": 8, "max_total_tokens": 8, "mode": "case2_gradient"}
 
 
+# (patience, temperature) that each preset forces.
+PRESET_POINTS = {"H0": (2, 0.7), "H1": (5, 1.1)}
+
+
 def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -76,6 +81,20 @@ class TestParseConfig:
         config = parse_config("run:\n  hypothesis_preset: H1\n")
         assert config.run.generation.temperature == 1.1
         assert config.run.patience == 5
+
+    @pytest.mark.parametrize("preset", [None, "H0", "H1"], ids=["default", "H0", "H1"])
+    def test_a_preset_refuses_another_patience_or_temperature(self, preset):
+        # H0 is the default preset; each forces its operating point, so an
+        # explicit other value would be silently overwritten.
+        name = preset or "H0"
+        patience, temperature = PRESET_POINTS[name]
+        run = {} if preset is None else {"hypothesis_preset": preset}
+        with pytest.raises(ConfigError, match=f"run.patience: preset {name} sets {patience}"):
+            parse_config_data({"run": {**run, "patience": patience + 1}})
+        with pytest.raises(ConfigError, match=f"run.generation.temperature: preset {name}"):
+            parse_config_data({"run": {**run, "generation": {"temperature": temperature + 0.5}}})
+        config = parse_config_data({"run": {**run, "patience": patience, "generation": {"temperature": temperature}}})
+        assert (config.run.patience, config.run.generation.temperature) == (patience, temperature)
 
     def test_json_document_accepted(self):
         config = parse_config('{"run": {"batch_size": 5}, "trials": 3}')
@@ -155,7 +174,7 @@ class TestParseBackend:
         assert config.backend.scripted_default_response == " nothing"
 
     def test_max_inflight(self):
-        assert parse_config("").backend.max_inflight == 8
+        assert parse_config("").backend.max_inflight == 16
         assert parse_config("backend:\n  max_inflight: 1\n").backend.max_inflight == 1
         with pytest.raises(ConfigError, match="backend.max_inflight"):
             parse_config("backend:\n  max_inflight: 0\n")
@@ -411,6 +430,31 @@ class TestRunSweep:
             tmp_path / "swept" / "batch_size=4" / "trial_000.json"
         ).read_bytes()
 
+    def test_train_size_sweep_past_the_train_split_is_refused(self, tmp_path):
+        # The run clips its pool to the 12-example train split, so sizes
+        # past it would all run the same trial.
+        config = tiny_config(
+            run={"total_iterations": 1, "batch_size": 3, "generation": GRADIENT_GENERATION},
+            output_dir=str(tmp_path / "sweep"),
+            sweep={"axis": "train_size", "values": [6, 12, 20]},
+        )
+        with pytest.raises(ConfigError, match=r"sweep.values\[2\]: train_size 20 .* 12 examples"):
+            run_sweep(config, echo=lambda *a: None)
+        assert not (tmp_path / "sweep").exists()
+        config = dataclasses.replace(config, sweep=dataclasses.replace(config.sweep, values=(6.0, 12.0)))
+        rows = run_sweep(config, echo=lambda *a: None)
+        assert [row["completed"] for row in rows] == [1, 1]
+
+    def test_plain_run_clips_train_size_to_the_split(self, tmp_path):
+        trials = []
+        for size in (12, 400):
+            out = tmp_path / str(size)
+            run = {"total_iterations": 1, "batch_size": 3, "train_size": size, "generation": GRADIENT_GENERATION}
+            run_experiment(tiny_config(run=run, output_dir=str(out)), echo=lambda *a: None)
+            trials.append((out / "trial_000.json").read_bytes())
+        assert json.loads(trials[0])["status"] == "complete"
+        assert trials[0] == trials[1]
+
     def test_sweep_requires_section(self, tmp_path):
         with pytest.raises(ConfigError, match="sweep"):
             run_sweep(tiny_config(output_dir=str(tmp_path)), echo=lambda *a: None)
@@ -457,6 +501,13 @@ class TestMain:
         )
         assert code == 0
         assert seen == [1]
+
+    @pytest.mark.parametrize("flag, value", [("--patience", "7"), ("--temperature", "1.5")])
+    def test_flag_that_contradicts_the_preset_exits_two(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "out")
+        assert main(["run", "--output-dir", out, flag, value, *self.RUN_FLAGS]) == 2
+        assert "preset H0" in capsys.readouterr().err
+        assert main(["run", "--output-dir", out, "--preset", "custom", flag, value, *self.RUN_FLAGS]) == 0
 
     def test_failed_trial_exit_one(self, tmp_path, capsys):
         code = main(

@@ -1,16 +1,18 @@
 """Concurrent gateway: results never depend on how many calls are in flight.
 
-Every fan-out (batch forward passes, candidate generation, scoring) goes
-through one ``CallPool``; these tests pin that a trial at 8 calls in flight
-writes the same bytes as the sequential trial, that record mode stays
-single-flight and keeps sampled candidates apart, and that failures surface
-the way the sequential run would raise them.
+Every fan-out (batch forward passes, candidate generation, scoring, the
+test pass) goes through the trial's one ``CallPool``; these tests pin that a
+trial at 3, 8 or 16 calls in flight writes the same bytes as the sequential
+trial, that record mode stays single-flight and keeps sampled candidates
+apart, and that failures surface the way the sequential run would raise
+them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import re
 import sys
 import threading
@@ -19,6 +21,7 @@ import time
 import pytest
 
 import tsgdm.cli as cli
+import tsgdm.gateway as gateway
 from tsgdm import (
     BudgetExceededError,
     CompletionRequest,
@@ -26,6 +29,7 @@ from tsgdm import (
     DomainError,
     FinishReason,
     GenerationParams,
+    NetworkError,
     RunConfig,
     synthetic_binding,
 )
@@ -33,12 +37,14 @@ from tsgdm.cli import parse_config_data, run_experiment
 from tsgdm.gateway import (
     CacheMode,
     CachingBackend,
+    SEQUENTIAL,
     CallCounter,
     CallPool,
     ReplayCache,
     ScriptedBackend,
 )
 from tsgdm.optimizer import run_tsgd
+from tsgdm.task import score_prompt
 from conftest import UPDATE_RULES, run_trial, trial_doc
 
 KEY_WORDS = ("copy", "marker", "word", "exactly")
@@ -95,7 +101,7 @@ def test_trial_json_is_the_same_at_8_in_flight(tmp_path, monkeypatch, rule, mode
         return TagSensitiveBackend() if model == "tag_sensitive" else None
 
     sequential = run_trial(tmp_path, "seq", trial_doc(rule, 1), monkeypatch, backend())
-    for width in (3, 8):
+    for width in (3, 8, 16):
         concurrent = run_trial(tmp_path, f"par{width}", trial_doc(rule, width), monkeypatch, backend())
         assert concurrent == sequential
 
@@ -266,8 +272,8 @@ def test_budget_holds_under_concurrency_and_the_partial_log_matches():
     outcomes = []
     for max_inflight in (1, 8):
         model = TagSensitiveBackend()
-        with pytest.raises(BudgetExceededError) as excinfo:
-            run_tsgd(small_run_config(), task, model, max_lm_calls=budget, max_inflight=max_inflight)
+        with pytest.raises(BudgetExceededError) as excinfo, CallPool(max_inflight) as pool:
+            run_tsgd(small_run_config(), task, model, max_lm_calls=budget, pool=pool)
         assert model.calls == budget
         outcomes.append(excinfo.value.partial_run_log)
     sequential, concurrent = outcomes
@@ -285,12 +291,86 @@ def test_run_stamps_its_seed_on_sampled_requests_only():
 
 def test_run_tsgd_result_independent_of_max_inflight():
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
-    results = [
-        run_tsgd(small_run_config(), task, TagSensitiveBackend(), max_inflight=n).to_dict()
-        for n in (1, 3, 8)
-    ]
+    results = []
+    for n in (1, 3, 8):
+        with CallPool(n) as pool:
+            results.append(run_tsgd(small_run_config(), task, TagSensitiveBackend(), pool=pool).to_dict())
     assert results[1] == results[0]
     assert results[2] == results[0]
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Each thread pool that a ``CallPool`` starts, counting its shutdowns."""
+    started = []
+
+    class Counted(gateway.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self.shutdowns = 0
+            started.append(self)
+
+        def shutdown(self, *args, **kwargs) -> None:
+            self.shutdowns += 1
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(gateway, "ThreadPoolExecutor", Counted)
+    return started
+
+
+class FailingAt(TagSensitiveBackend):
+    """Raises a ``NetworkError`` for every call whose tag starts with ``prefix``."""
+
+    def __init__(self, prefix: str | None) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def complete(self, request: CompletionRequest) -> CompletionResult:
+        if self.prefix is not None and request.request_tag.startswith(self.prefix):
+            raise NetworkError(f"{request.request_tag}: connection reset")
+        return super().complete(request)
+
+
+@pytest.mark.parametrize("fails_at", [None, "refine/iter1/", "test/"], ids=["complete", "optimizer", "test-pass"])
+def test_a_cli_trial_runs_on_one_call_pool(tmp_path, monkeypatch, executors, fails_at):
+    """The optimizer and the test pass share the trial's one pool, whose
+    threads start once and stop once, however the trial ends."""
+    pools = []
+    for name in ("run_tsgd", "score_prompt"):
+
+        def spy(*args, _real=getattr(cli, name), **kwargs):
+            pools.append(kwargs.get("pool"))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    doc = trial_doc("momentum-case2", 4)
+    record = json.loads(run_trial(tmp_path, "trial", doc, monkeypatch, FailingAt(fails_at)))
+    assert record["status"] == ("complete" if fails_at is None else "failed")
+    assert len(pools) == (1 if fails_at == "refine/iter1/" else 2)
+    assert isinstance(pools[0], CallPool) and pools[0].max_inflight == 4
+    assert all(pool is pools[0] for pool in pools)
+    assert [executor.shutdowns for executor in executors] == [1]
+
+
+@pytest.mark.parametrize("budget", [None, 40])
+def test_run_tsgd_leaves_the_callers_pool_open(executors, budget):
+    """A finished or failed run leaves the caller's pool running, and the
+    caller's next work reuses its threads."""
+    task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
+
+    def test_pass(pool=SEQUENTIAL) -> float:
+        return score_prompt(task.initial_prompt, task.test, TagSensitiveBackend(), label_set=task.label_set, pool=pool)
+
+    with CallPool(4) as pool:
+        try:
+            run_tsgd(small_run_config(), task, TagSensitiveBackend(), max_lm_calls=budget, pool=pool)
+        except BudgetExceededError:
+            assert budget is not None
+        assert [executor.shutdowns for executor in executors] == [0]
+        accuracy = test_pass(pool)
+        assert [executor.shutdowns for executor in executors] == [0]
+    assert [executor.shutdowns for executor in executors] == [1]
+    assert accuracy == test_pass()
 
 
 class TestCallPool:
@@ -548,7 +628,8 @@ def test_scoring_starts_while_other_candidates_still_generate():
         hypothesis_preset="custom",
         generation=GenerationParams(max_total_tokens=10, block_tokens=10, candidates=2),
     )
-    result = run_tsgd(config, task, Model(), max_inflight=4)
+    with CallPool(4) as pool:
+        result = run_tsgd(config, task, Model(), pool=pool)
     assert len(result.per_iteration) == 2
     assert first_score.is_set()
 
@@ -575,7 +656,8 @@ def test_only_gradient_mode_sends_batch_forward_passes(mode):
     gen = GenerationParams(alpha=0.6, max_total_tokens=30, block_tokens=10, temperature=0.7, candidates=5, mode=mode)
     config = dataclasses.replace(small_run_config(), generation=gen)
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
-    result = run_tsgd(config, task, Logged(), max_inflight=4)
+    with CallPool(4) as pool:
+        result = run_tsgd(config, task, Logged(), pool=pool)
     assert len(result.per_iteration) == config.total_iterations + 1
     assert result.total_lm_calls == len(tags)
     predicts = sorted(tag for tag in tags if tag.startswith("predict/"))
@@ -609,7 +691,8 @@ def test_gradient_mode_queues_each_call_after_what_it_reads():
 
     config = small_run_config()
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
-    run_tsgd(config, task, Logged(), max_inflight=8)
+    with CallPool(8) as pool:
+        run_tsgd(config, task, Logged(), pool=pool)
     for t in range(config.total_iterations):
         analyze = events.index(("start", f"analyze/iter{t}"))
         analyzed = events.index(("end", f"analyze/iter{t}"))
