@@ -99,9 +99,19 @@ class CompletionResult:
 
 
 class Backend(Protocol):
-    """Anything that can answer a completion request."""
+    """Anything that can answer a completion request.
+
+    A backend whose calls never wait on I/O sets ``waits_on_io = False``;
+    one that declares nothing is taken to wait (see :func:`waits_on_io`).
+    """
 
     def complete(self, request: CompletionRequest) -> CompletionResult: ...
+
+
+def waits_on_io(backend: Backend) -> bool:
+    """Whether ``backend``'s calls wait on I/O, so that keeping several in
+    flight saves time; true unless the backend declares otherwise."""
+    return getattr(backend, "waits_on_io", True)
 
 
 _Item = TypeVar("_Item")
@@ -254,6 +264,9 @@ class ScriptedBackend:
     ``default_response``. Every request is appended to ``call_log`` so tests
     can assert full call sequences. Safe to share across threads.
     """
+
+    # Answers from memory: threads would only contend for the interpreter.
+    waits_on_io = False
 
     def __init__(
         self,
@@ -607,6 +620,11 @@ class CachingBackend:
         self.cache = cache
         self.inner = inner
 
+    @property
+    def waits_on_io(self) -> bool:
+        # Replay answers from the store alone; the other modes call ``inner``.
+        return self.cache.mode is not CacheMode.REPLAY and waits_on_io(self.inner)
+
     def complete(self, request: CompletionRequest) -> CompletionResult:
         if self.cache.mode is CacheMode.PASSTHROUGH:
             return self.inner.complete(request)
@@ -630,6 +648,10 @@ class CallCounter:
         self.prompt_tokens = 0
         self.completion_tokens = 0
         self._lock = threading.Lock()
+
+    @property
+    def waits_on_io(self) -> bool:
+        return waits_on_io(self.inner)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         with self._lock:

@@ -174,7 +174,7 @@ class TestParseBackend:
         assert config.backend.scripted_default_response == " nothing"
 
     def test_max_inflight(self):
-        assert parse_config("").backend.max_inflight == 16
+        assert parse_config("").backend.max_inflight == 24
         assert parse_config("backend:\n  max_inflight: 1\n").backend.max_inflight == 1
         with pytest.raises(ConfigError, match="backend.max_inflight"):
             parse_config("backend:\n  max_inflight: 0\n")

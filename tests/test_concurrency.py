@@ -2,10 +2,11 @@
 
 Every fan-out (batch forward passes, candidate generation, scoring, the
 test pass) goes through the trial's one ``CallPool``; these tests pin that a
-trial at 3, 8 or 16 calls in flight writes the same bytes as the sequential
-trial, that record mode stays single-flight and keeps sampled candidates
-apart, and that failures surface the way the sequential run would raise
-them.
+trial at 3, 8, 16 or 24 calls in flight writes the same bytes as the
+sequential trial, that a trial whose backend never waits on I/O runs
+sequentially, that record mode stays single-flight and keeps sampled
+candidates apart, and that failures surface the way the sequential run
+would raise them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from tsgdm.gateway import (
     CallPool,
     ReplayCache,
     ScriptedBackend,
+    waits_on_io,
 )
 from tsgdm.optimizer import run_tsgd
 from tsgdm.task import score_prompt
@@ -101,7 +103,7 @@ def test_trial_json_is_the_same_at_8_in_flight(tmp_path, monkeypatch, rule, mode
         return TagSensitiveBackend() if model == "tag_sensitive" else None
 
     sequential = run_trial(tmp_path, "seq", trial_doc(rule, 1), monkeypatch, backend())
-    for width in (3, 8, 16):
+    for width in (3, 8, 16, 24):
         concurrent = run_trial(tmp_path, f"par{width}", trial_doc(rule, width), monkeypatch, backend())
         assert concurrent == sequential
 
@@ -350,6 +352,48 @@ def test_a_cli_trial_runs_on_one_call_pool(tmp_path, monkeypatch, executors, fai
     assert isinstance(pools[0], CallPool) and pools[0].max_inflight == 4
     assert all(pool is pools[0] for pool in pools)
     assert [executor.shutdowns for executor in executors] == [1]
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The width of each ``CallPool`` a CLI trial opens."""
+    opened = []
+    monkeypatch.setattr(cli, "CallPool", lambda width: opened.append(width) or CallPool(width))
+    return opened
+
+
+def test_a_trial_whose_backend_never_waits_starts_no_thread(tmp_path, monkeypatch, executors, widths):
+    """The scripted backend, and a record or replay cache in front of it,
+    answer from memory: their trials run at width 1 whatever
+    ``max_inflight`` says."""
+    cache_path = str(tmp_path / "cache.jsonl")
+    for cache_mode in ("off", "record", "replay"):
+        doc = trial_doc("momentum-case2", 24, cache_mode=cache_mode, cache_path=cache_path)
+        run_trial(tmp_path, cache_mode, doc, monkeypatch)
+    assert widths == [1, 1, 1]
+    assert executors == []
+
+
+@pytest.mark.parametrize("cache_mode", ["off", "record", "passthrough"])
+def test_a_trial_whose_backend_declares_nothing_keeps_max_inflight(
+    tmp_path, monkeypatch, executors, widths, cache_mode
+):
+    doc = trial_doc("momentum-case2", 24, cache_mode=cache_mode, cache_path=str(tmp_path / "cache.jsonl"))
+    run_trial(tmp_path, "trial", doc, monkeypatch, TagSensitiveBackend())
+    assert widths == [24]
+    assert len(executors) == 1
+
+
+def test_wrappers_wait_as_their_inner_backend_does():
+    """A counter (the benchmark's probes are counters) and a record or
+    passthrough cache wait as what they wrap does; a replay cache never
+    waits."""
+    waiting, scripted = TagSensitiveBackend(), ScriptedBackend()
+    assert (waits_on_io(waiting), waits_on_io(scripted)) == (True, False)
+    for mode in CacheMode:
+        for inner in (waiting, scripted):
+            cached = CallCounter(CachingBackend(ReplayCache(mode=mode), CallCounter(inner)))
+            assert waits_on_io(cached) is (mode is not CacheMode.REPLAY and inner is waiting)
 
 
 @pytest.mark.parametrize("budget", [None, 40])

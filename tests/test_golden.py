@@ -4,9 +4,9 @@ and sends.
 Each configuration of the matrix (momentum and vanilla in case1 and case2,
 plus the concat baseline, at k=1 and k=4 candidates) runs one CLI trial
 against the benchmark's seeded sampling backend. The sha256 of the trial
-file is pinned at 1, 8 and 16 calls in flight, and so is the sha256 of the
-sequential call log: each call's tag, prompt, budget, temperature and
-sample seed. A refactor that keeps these hashes keeps every request and
+file is pinned at 1, 8, 16 and 24 calls in flight, and so is the sha256
+of the sequential call log: each call's tag, prompt, budget, temperature
+and sample seed. A refactor that keeps these hashes keeps every request and
 every result. A pin that moves is an intended change to the outputs, and
 the change log says why.
 """
@@ -68,11 +68,11 @@ def test_trial_file_and_call_log_are_pinned(tmp_path, monkeypatch, rule, k):
     trial_pin, log_pin = PINS[rule, k]
     model = LoggingModel()
     trials = [sha256(run_trial(tmp_path, "w1", trial_doc(rule, 1, k), monkeypatch, model))]
-    for width in (8, 16):
+    for width in (8, 16, 24):
         concurrent = sampling_backend.SamplingBackend(MODEL_SEED)
         trials.append(sha256(run_trial(tmp_path, f"w{width}", trial_doc(rule, width, k), monkeypatch, concurrent)))
     log = json.dumps(model.log, ensure_ascii=False).encode("utf-8")
-    assert (trials, sha256(log)) == ([trial_pin] * 3, log_pin)
+    assert (trials, sha256(log)) == ([trial_pin] * 4, log_pin)
 
 
 def test_record_then_replay_is_pinned(tmp_path, monkeypatch):
