@@ -513,15 +513,22 @@ class ReplayCache:
     concurrent callers of the same digest wait for that answer. Replay mode
     never falls through to a live call: a missing digest raises
     :class:`CacheMissError`.
+
+    A digest does not cover the model that answered, so ``backend`` names
+    it (kind, base URL, model, chat flag); :meth:`save` writes it as the
+    file's first line, and :meth:`load` reads it back, or None from a file
+    without one.
     """
 
     def __init__(
         self,
         mode: CacheMode | str = CacheMode.RECORD,
         entries: Mapping[str, CompletionResult] | None = None,
+        backend: Mapping[str, object] | None = None,
     ) -> None:
         self.mode = CacheMode(mode)
         self.entries: dict[str, CompletionResult] = dict(entries or {})
+        self.backend = None if backend is None else dict(backend)
         self._lock = threading.RLock()
         self._inflight: dict[str, Future] = {}
 
@@ -529,15 +536,14 @@ class ReplayCache:
         with self._lock:
             return len(self.entries)
 
-    def lookup(self, request: CompletionRequest) -> CompletionResult | None:
+    def lookup(self, digest: str) -> CompletionResult | None:
         with self._lock:
-            return self.entries.get(request.digest())
+            return self.entries.get(digest)
 
-    def record(self, request: CompletionRequest, inner: Backend) -> CompletionResult:
-        """The stored result for the request's digest, or else the inner
-        backend's, stored; exactly one inner call per digest however many
-        threads ask at once. Waiters of a failed call get its exception."""
-        digest = request.digest()
+    def record(self, digest: str, request: CompletionRequest, inner: Backend) -> CompletionResult:
+        """The stored result for ``digest`` (the request's), or else the
+        inner backend's, stored; exactly one inner call per digest however
+        many threads ask at once. Waiters of a failed call get its exception."""
         with self._lock:
             found = self.entries.get(digest)
             if found is not None:
@@ -570,6 +576,8 @@ class ReplayCache:
         with self._lock:
             items = sorted(self.entries.items())
         lines = []
+        if self.backend is not None:
+            lines.append(json.dumps({"backend": self.backend}, sort_keys=True, ensure_ascii=False))
         for digest, result in items:
             lines.append(
                 json.dumps(
@@ -595,12 +603,16 @@ class ReplayCache:
     @classmethod
     def load(cls, path: str | Path, mode: CacheMode | str = CacheMode.REPLAY) -> "ReplayCache":
         entries: dict[str, CompletionResult] = {}
+        backend = None
         text = Path(path).read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
+                if lineno == 1 and "backend" in row:
+                    backend = row["backend"]
+                    continue
                 entries[row["digest"]] = CompletionResult(
                     text=row["text"],
                     finish_reason=FinishReason(row["finish_reason"]),
@@ -609,7 +621,7 @@ class ReplayCache:
                 )
             except (ValueError, KeyError, TypeError) as exc:
                 raise ProtocolError(f"{path}:{lineno}: bad cache line: {exc!r}") from exc
-        return cls(mode=mode, entries=entries)
+        return cls(mode=mode, entries=entries, backend=backend)
 
 
 class CachingBackend:
@@ -628,12 +640,13 @@ class CachingBackend:
     def complete(self, request: CompletionRequest) -> CompletionResult:
         if self.cache.mode is CacheMode.PASSTHROUGH:
             return self.inner.complete(request)
+        digest = request.digest()
         if self.cache.mode is CacheMode.REPLAY:
-            found = self.cache.lookup(request)
+            found = self.cache.lookup(digest)
             if found is None:
-                raise CacheMissError(f"no cached result for digest {request.digest()}")
+                raise CacheMissError(f"no cached result for digest {digest}")
             return found
-        return self.cache.record(request, self.inner)
+        return self.cache.record(digest, request, self.inner)
 
 
 class CallCounter:

@@ -203,6 +203,8 @@ class TestParseSweep:
     def test_size_axes_need_integers(self):
         with pytest.raises(ConfigError, match="integers"):
             parse_config("sweep:\n  axis: batch_size\n  values: [2.5]\n")
+        with pytest.raises(ConfigError, match=r"sweep.values\[0\]: train_size values must be integers"):
+            parse_config("sweep:\n  axis: train_size\n  values: [.inf]\n")
 
     def test_temperature_sweep_needs_custom_preset(self):
         with pytest.raises(ConfigError, match="custom"):
@@ -311,6 +313,53 @@ class TestBuildTask:
         )
         with pytest.raises(ConfigError, match="existing"):
             build_cache(config.backend)
+
+
+# The backend identity a default config records into a cache header.
+DEFAULT_IDENTITY = {"kind": "scripted", "base_url": "https://api.openai.com/v1", "model": "gpt-4o-mini", "chat": True}
+
+
+class TestReplayHeader:
+    def record(self, tmp_path) -> Path:
+        path = tmp_path / "cache.jsonl"
+        config = tiny_config(
+            backend={"cache_mode": "record", "cache_path": str(path)}, output_dir=str(tmp_path / "out")
+        )
+        run_experiment(config, echo=lambda *a: None)
+        return path
+
+    def test_record_writes_the_backend_identity_first(self, tmp_path):
+        lines = self.record(tmp_path).read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[0]) == {"backend": DEFAULT_IDENTITY}
+        assert all("digest" in json.loads(line) for line in lines[1:])
+
+    @pytest.mark.parametrize("mode", ["replay", "record"])
+    @pytest.mark.parametrize(
+        "name, value", [("kind", "openai"), ("base_url", "http://localhost:9/v1"), ("model", "other"), ("chat", False)]
+    )
+    def test_a_file_of_another_backend_is_refused(self, tmp_path, mode, name, value):
+        path = self.record(tmp_path)
+        config = parse_config_data({"backend": {"cache_mode": mode, "cache_path": str(path), name: value}})
+        with pytest.raises(ConfigError, match="backend.cache_path") as excinfo:
+            build_cache(config.backend)
+        assert f"{name}={DEFAULT_IDENTITY[name]!r}" in str(excinfo.value)
+        assert f"{name}={value!r}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("mode", ["replay", "record"])
+    def test_a_file_without_a_header_is_refused(self, tmp_path, mode):
+        path = self.record(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[1:]), encoding="utf-8")
+        config = parse_config_data({"backend": {"cache_mode": mode, "cache_path": str(path)}})
+        with pytest.raises(ConfigError, match="no backend header"):
+            build_cache(config.backend)
+
+    def test_a_matching_file_loads_for_replay_and_record(self, tmp_path):
+        path = self.record(tmp_path)
+        for mode in ("replay", "record"):
+            config = parse_config_data({"backend": {"cache_mode": mode, "cache_path": str(path)}})
+            cache = build_cache(config.backend)
+            assert (cache.mode.value, cache.backend, len(cache) > 0) == (mode, DEFAULT_IDENTITY, True)
 
 
 class TestRunExperiment:
@@ -544,6 +593,18 @@ class TestMain:
 
     def test_variance_rejects_bad_axis_list(self, capsys):
         assert main(["variance", "--alphas", ",,", "--trials", "10"]) == 2
+
+    def test_variance_refuses_a_fractional_horizon(self, tmp_path, capsys):
+        out = tmp_path / "var"
+        assert main(["variance", "--horizons", "1,2.5", "--trials", "10", "--output-dir", str(out)]) == 2
+        assert "error: horizons: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_values_that_are_not_numbers_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--axis", "alpha", "--values", "0.1,abc", "--output-dir", str(out)]) == 2
+        assert "error: sweep.values: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_record_then_replay_is_byte_identical(self, tmp_path, capsys):
         cache_path = tmp_path / "cache.jsonl"

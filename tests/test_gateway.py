@@ -180,6 +180,36 @@ class TestReplayCache:
         result = CachingBackend(loaded, ScriptedBackend()).complete(CompletionRequest("a", 4, 0.0))
         assert result.text == "persisted"
 
+    def test_save_writes_the_backend_identity_as_a_header(self, tmp_path):
+        identity = {"kind": "openai", "base_url": "http://localhost:9/v1", "model": "m", "chat": False}
+        cache = ReplayCache(mode=CacheMode.RECORD, backend=identity)
+        CachingBackend(cache, ScriptedBackend(default_response="x")).complete(REQ)
+        path = tmp_path / "cache.jsonl"
+        cache.save(path)
+        assert json.loads(path.read_text(encoding="utf-8").splitlines()[0]) == {"backend": identity}
+        loaded = ReplayCache.load(path)
+        assert (loaded.backend, loaded.entries) == (identity, cache.entries)
+
+    def test_a_file_without_a_header_loads_without_an_identity(self, tmp_path):
+        cache = ReplayCache(mode=CacheMode.RECORD)
+        CachingBackend(cache, ScriptedBackend(default_response="x")).complete(REQ)
+        path = tmp_path / "cache.jsonl"
+        cache.save(path)
+        assert ReplayCache.load(path).backend is None
+
+    @pytest.mark.parametrize("mode, stored", [("record", False), ("record", True), ("replay", True), ("replay", False)])
+    def test_a_request_is_hashed_once(self, monkeypatch, mode, stored):
+        hashed = []
+        digest = CompletionRequest.digest
+        monkeypatch.setattr(CompletionRequest, "digest", lambda request: hashed.append(request) or digest(request))
+        entries = {digest(REQ): CompletionResult("x", FinishReason.STOP)} if stored else {}
+        backend = CachingBackend(ReplayCache(mode=mode, entries=entries), ScriptedBackend(default_response="y"))
+        try:
+            backend.complete(REQ)
+        except CacheMissError:
+            assert (mode, stored) == ("replay", False)
+        assert hashed == [REQ]
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n", encoding="utf-8")
