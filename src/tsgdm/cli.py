@@ -118,7 +118,7 @@ def build_backend(settings: BackendSettings, cache: ReplayCache | None) -> Backe
 
 
 def _describe(backend: Mapping[str, Any]) -> str:
-    return ", ".join(f"{name}={value!r}" for name, value in backend.items())
+    return ", ".join(f"{name}={value!r}" for name, value in sorted(backend.items()))
 
 
 def build_cache(settings: BackendSettings) -> ReplayCache | None:

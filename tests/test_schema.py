@@ -217,14 +217,11 @@ def captured(monkeypatch):
     return configs
 
 
-def flag_cases():
-    for flag in RUN_FLAGS:
-        yield "run", flag, FLAG_CONTEXT.get(flag, [])
-    for flag in ("--axis", "--values"):
-        yield "sweep", flag, SWEEP_CONTEXT
+FLAG_CASES = [("run", flag, FLAG_CONTEXT.get(flag, [])) for flag in RUN_FLAGS]
+FLAG_CASES += [("sweep", flag, SWEEP_CONTEXT) for flag in ("--axis", "--values")]
 
 
-@pytest.mark.parametrize("command, flag, context", list(flag_cases()), ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("command, flag, context", FLAG_CASES, ids=[f"{c} {f}" for c, f, _ in FLAG_CASES])
 def test_each_flag_sets_its_field(command, flag, context, captured):
     dotted, argument, expected, _, _ = SWEEP_FLAGS[flag]
     argv = [command, *context, flag] + ([] if argument is None else [argument])
