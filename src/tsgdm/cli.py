@@ -28,6 +28,7 @@ from .config import (  # noqa: F401
     SweepAxis,
     SweepSettings,
     TaskSettings,
+    axis_run,
     choices_of,
     field_type,
     parse_config,
@@ -267,15 +268,6 @@ def run_experiment(config: ExperimentConfig, echo=print) -> dict:
     return summary
 
 
-def _apply_axis(config: ExperimentConfig, axis: SweepAxis, value: float) -> ExperimentConfig:
-    run = config.run
-    if axis in (SweepAxis.ALPHA, SweepAxis.TEMPERATURE):
-        run = dataclasses.replace(run, generation=dataclasses.replace(run.generation, **{axis.value: value}))
-    else:
-        run = dataclasses.replace(run, **{axis.value: int(value)})
-    return dataclasses.replace(config, run=run, sweep=None)
-
-
 def _format_axis_value(axis: SweepAxis, value: float) -> str:
     if axis in (SweepAxis.BATCH_SIZE, SweepAxis.TRAIN_SIZE):
         return str(int(value))
@@ -302,8 +294,9 @@ def run_sweep(config: ExperimentConfig, echo=print) -> list[dict]:
     rows = []
     for value in sorted(config.sweep.values):
         label = _format_axis_value(axis, value)
-        sub = _apply_axis(config, axis, value)
-        sub = dataclasses.replace(sub, output_dir=str(out / f"{axis.value}={label}"))
+        sub = dataclasses.replace(
+            config, run=axis_run(config.run, axis, value), sweep=None, output_dir=str(out / f"{axis.value}={label}")
+        )
         echo(f"sweep {axis.value}={label}")
         summary = run_experiment(sub, echo=echo)
         rows.append(

@@ -264,8 +264,16 @@ def _check_preset(run: RunConfig, data: Mapping) -> None:
             )
 
 
+def axis_run(run: RunConfig, axis: SweepAxis, value: float) -> RunConfig:
+    """``run`` with the swept field set to ``value``."""
+    if axis in (SweepAxis.ALPHA, SweepAxis.TEMPERATURE):
+        return dataclasses.replace(run, generation=dataclasses.replace(run.generation, **{axis.value: value}))
+    return dataclasses.replace(run, **{axis.value: int(value)})
+
+
 def _check_sweep(sweep: SweepSettings, run: RunConfig) -> None:
-    """Refuse a sweep whose values would all run the same trial."""
+    """Refuse a sweep whose values would all run the same trial, or one of
+    whose values its field refuses."""
     axis, mode = sweep.axis, run.generation.mode
     if not sweep.values:
         raise ConfigError("sweep.values: expected a nonempty list")
@@ -288,6 +296,11 @@ def _check_sweep(sweep: SweepSettings, run: RunConfig) -> None:
             "sweep.axis: temperature sweeps need run.hypothesis_preset: custom "
             "(presets force the temperature)"
         )
+    for i, value in enumerate(sweep.values):
+        try:
+            axis_run(run, axis, value)
+        except DomainError as exc:
+            raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
 
 
 def parse_config_data(data: Any) -> ExperimentConfig:

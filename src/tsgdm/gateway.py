@@ -17,7 +17,7 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -127,35 +127,51 @@ class CallPool:
 
     ``max_inflight`` counts the caller: :meth:`run` runs tasks in the
     calling thread next to up to ``max_inflight - 1`` helper threads, all
-    taking the next task from one first-in-first-out queue, so a queue
-    whose tasks finish faster than a helper wakes up is run by the caller
-    alone. A task may return follow-up tasks, which join the end of the
-    queue: work that needs one task's result starts as soon as that task
-    ends, in the slots the other tasks leave idle. :meth:`map` is a queue
-    of independent tasks. ``max_inflight=1`` runs the queue in order in
-    the caller's thread, stopping at the first failure, so follow-ups run
-    after every task queued before them. The helper threads are started
-    once, on first use, and reused by every :meth:`run` until
-    :meth:`close`. A pooled task must not call :meth:`run` or :meth:`map`
-    on the same pool.
+    taking the next task from one first-in-first-out queue. A task may
+    return follow-up tasks, which join the end of the queue: work that
+    needs one task's result starts as soon as that task ends, in the slots
+    the other tasks leave idle. :meth:`map` is a queue of independent
+    tasks. ``max_inflight=1`` runs the queue in order in the caller's
+    thread, stopping at the first failure, so follow-ups run after every
+    task queued before them.
+
+    The helpers are daemon threads, started together on the first run
+    wider than one and kept until :meth:`close`; between runs they wait.
+    A run wakes one waiting helper per queued task beyond the one the
+    caller takes, and a task that returns follow-ups wakes one worker per
+    follow-up beyond the one its own thread takes, the caller first. So a
+    queue whose tasks finish faster than a helper wakes up is run by the
+    caller alone. Runs on one pool take turns; a pooled task must not call
+    :meth:`run` or :meth:`map` on its own pool. A closed pool starts new
+    helpers on its next run, and a pool never closed does not hold up the
+    interpreter's exit.
     """
 
     def __init__(self, max_inflight: int = 1) -> None:
         if max_inflight < 1:
             raise DomainError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
-        self._executor: ThreadPoolExecutor | None = None
+        self._helpers: list[threading.Thread] = []
+        self._turn = threading.Lock()  # held by the run in progress
+        # The state of the run in progress, guarded by _lock.
+        self._lock = threading.Lock()
+        self._helper_wake = threading.Condition(self._lock)
+        self._caller_wake = threading.Condition(self._lock)
+        self._queue: list[Task] = []
+        self._cursor = self._running = 0
+        self._failures: dict[int, BaseException] = {}
+        self._caller_waits = self._closing = False
 
     def run(self, tasks: Iterable[Task]) -> None:
         """Run ``tasks`` and every follow-up they return, up to
         ``max_inflight`` at a time.
 
-        Tasks start in queue order. A worker with nothing to take waits
-        while any task is still running, because that task may add work.
-        Once a task has failed no further task starts; the tasks already
-        started are waited for, and then the failure with the lowest queue
-        index is raised. For independent tasks that is the failure a
-        sequential run would have raised.
+        Tasks start in queue order. The caller, with nothing to take,
+        waits while any task is still running, because that task may add
+        work. Once a task has failed no further task starts; the tasks
+        already started are waited for, and then the failure with the
+        lowest queue index is raised. For independent tasks that is the
+        failure a sequential run would have raised.
         """
         queue = list(tasks)
         if self.max_inflight == 1:
@@ -163,54 +179,92 @@ class CallPool:
             for task in queue:
                 queue.extend(task() or ())
             return
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(self.max_inflight - 1, thread_name_prefix="tsgdm-call")
-        failures: dict[int, BaseException] = {}
-        cursor = running = 0
-        changed = threading.Condition()
-
-        def work() -> None:
-            nonlocal cursor, running
-            follow_ups = None  # those of the task this worker ran last
+        if not queue:
+            return
+        with self._turn:
+            with self._lock:
+                self._queue, self._cursor, self._running, self._failures = queue, 0, 0, {}
+                # The caller takes the first task below.
+                self._wake(len(queue) - 1)
+            if not self._helpers:
+                # New helpers take queued tasks as they start.
+                self._start_helpers()
+            done = None
             while True:
-                with changed:
-                    if follow_ups is not None:
-                        queue.extend(follow_ups)
-                        running -= 1
-                        if failures or not (running or follow_ups):
-                            # Nothing can add work any more: waiting workers leave.
-                            changed.notify_all()
-                        elif len(follow_ups) > 1:
-                            # This worker takes the first follow-up itself.
-                            changed.notify(len(follow_ups) - 1)
-                    while not failures and cursor == len(queue) and running:
-                        changed.wait()
-                    if failures or cursor == len(queue):
-                        return
-                    index, task = cursor, queue[cursor]
-                    cursor += 1
-                    running += 1
-                try:
-                    follow_ups = list(task() or ())
-                except BaseException as exc:  # re-raised by the caller below
-                    follow_ups = []
-                    with changed:
-                        failures[index] = exc
-
-        helpers = [self._executor.submit(work) for _ in range(self.max_inflight - 1)]
-        try:
-            work()
-        finally:
-            # Helpers with no task left leave on their own, and one that has
-            # not started yet would find nothing to take: wait only for the
-            # tasks still running after a failure.
-            for helper in helpers:
-                helper.cancel()
-            with changed:
-                while running:
-                    changed.wait()
+                with self._lock:
+                    if done is not None:
+                        self._settle(*done)
+                    job = self._take()
+                    while job is None and self._running:
+                        self._caller_waits = True
+                        self._caller_wake.wait()
+                        job = self._take()
+                    if job is None:
+                        failures = self._failures
+                        break
+                done = _perform(*job)
         if failures:
             raise failures[min(failures)]
+
+    def _take(self) -> "tuple[int, Task] | None":
+        """The next queued task of the run and its index, counted as
+        running; None once a task has failed or the queue is empty. Called
+        under the pool lock."""
+        if self._failures or self._cursor == len(self._queue):
+            return None
+        index = self._cursor
+        self._cursor += 1
+        self._running += 1
+        return index, self._queue[index]
+
+    def _wake(self, workers: int) -> None:
+        """Wake up to ``workers`` waiting workers, the caller first. Called
+        under the pool lock."""
+        if workers > 0 and self._caller_waits:
+            self._caller_waits = False
+            self._caller_wake.notify()
+            workers -= 1
+        if workers > 0:
+            self._helper_wake.notify(workers)
+
+    def _settle(self, index: int, follow_ups: list, failure: BaseException | None) -> None:
+        """Record how the task at ``index`` ended. Its follow-ups join the
+        queue; the thread that ran it takes the next task itself and wakes a
+        worker for each further follow-up. Called under the pool lock."""
+        self._running -= 1
+        if failure is not None:
+            self._failures[index] = failure
+        elif follow_ups and not self._failures:
+            self._queue.extend(follow_ups)
+            self._wake(len(follow_ups) - 1)
+        if self._caller_waits and not self._running and (self._failures or self._cursor == len(self._queue)):
+            # The run is over: the caller returns.
+            self._caller_waits = False
+            self._caller_wake.notify()
+
+    def _start_helpers(self) -> None:
+        self._helpers = [
+            threading.Thread(target=self._serve, name=f"tsgdm-call-{i}", daemon=True)
+            for i in range(self.max_inflight - 1)
+        ]
+        for helper in self._helpers:
+            helper.start()
+
+    def _serve(self) -> None:
+        """A helper's loop: take queued tasks, wait when there are none,
+        leave when the pool closes."""
+        done = None
+        while True:
+            with self._lock:
+                if done is not None:
+                    self._settle(*done)
+                job = self._take()
+                while job is None:
+                    if self._closing:
+                        return
+                    self._helper_wake.wait()
+                    job = self._take()
+            done = _perform(*job)
 
     def map(self, fn: Callable[[_Item], _Out], items: Iterable[_Item]) -> list[_Out]:
         """``[fn(item) for item in items]``: one :meth:`run` of a task per
@@ -227,15 +281,28 @@ class CallPool:
         return results
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
+        """Wake the helpers, let them leave and join them."""
+        with self._turn:
+            with self._lock:
+                self._closing = True
+                self._helper_wake.notify_all()
+            for helper in self._helpers:
+                helper.join()
+            self._helpers, self._closing = [], False
 
     def __enter__(self) -> "CallPool":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _perform(index: int, task: Task) -> "tuple[int, list, BaseException | None]":
+    """Run one pooled task: its index, its follow-ups and its failure."""
+    try:
+        return index, list(task() or ()), None
+    except BaseException as exc:  # re-raised by the run's caller
+        return index, [], exc
 
 
 # Runs every map in the caller's thread; the default wherever a pool is optional.

@@ -8,6 +8,7 @@ last-number comparison when the gold answer is numeric.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -46,6 +47,13 @@ def normalize_text(text: str) -> str:
     return _NON_ALNUM_RE.sub(" ", text.lower()).strip()
 
 
+@functools.lru_cache(maxsize=64)
+def _needles(label_set: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    """Each label with its normalized form, leaving out labels that
+    normalize to nothing; computed once per label set."""
+    return tuple((label, needle) for label in label_set if (needle := normalize_text(label)))
+
+
 def parse_label(completion: str, label_set: Sequence[str]) -> str | None:
     """Map a raw completion onto the label set.
 
@@ -54,11 +62,7 @@ def parse_label(completion: str, label_set: Sequence[str]) -> str | None:
     several present labels return None (unmatched).
     """
     haystack = normalize_text(completion)
-    matches = []
-    for label in label_set:
-        needle = normalize_text(label)
-        if needle and needle in haystack:
-            matches.append(label)
+    matches = [label for label, needle in _needles(tuple(label_set)) if needle in haystack]
     return matches[0] if len(matches) == 1 else None
 
 

@@ -606,6 +606,24 @@ class TestMain:
         assert "error: sweep.values: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            ("alpha", "0.5,1.5", "sweep.values[1]: alpha must be in [0, 1], got 1.5"),
+            ("batch_size", "2,0", "sweep.values[1]: batch_size must be >= 1, got 0"),
+        ],
+        ids=["alpha", "batch_size"],
+    )
+    def test_sweep_value_outside_its_fields_domain_exits_two_before_any_point(
+        self, tmp_path, capsys, axis, values, message
+    ):
+        out = tmp_path / "sweep"
+        mode = ["--mode", "case2_gradient"] if axis == "batch_size" else []
+        argv = ["sweep", "--axis", axis, "--values", values, *mode, "--output-dir", str(out)]
+        assert main([*argv, "--iterations", "1", "--candidates", "2", "--trials", "1"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_record_then_replay_is_byte_identical(self, tmp_path, capsys):
         cache_path = tmp_path / "cache.jsonl"
         record = main(

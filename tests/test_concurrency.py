@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -301,22 +305,34 @@ def test_run_tsgd_result_independent_of_max_inflight():
     assert results[2] == results[0]
 
 
+class HelperSet:
+    """The helper threads one ``CallPool`` started, and how many times they
+    were joined with every one of them stopped."""
+
+    def __init__(self, threads: list[threading.Thread]) -> None:
+        self.threads = threads
+        self.joins = 0
+
+
 @pytest.fixture
-def executors(monkeypatch):
-    """Each thread pool that a ``CallPool`` starts, counting its shutdowns."""
-    started = []
+def helper_sets(monkeypatch):
+    """Each set of helper threads that a ``CallPool`` starts, counting its joins."""
+    started: list[HelperSet] = []
+    real_start, real_close = CallPool._start_helpers, CallPool.close
 
-    class Counted(gateway.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            self.shutdowns = 0
-            started.append(self)
+    def start(pool: CallPool) -> None:
+        real_start(pool)
+        started.append(HelperSet(pool._helpers))
 
-        def shutdown(self, *args, **kwargs) -> None:
-            self.shutdowns += 1
-            super().shutdown(*args, **kwargs)
+    def close(pool: CallPool) -> None:
+        threads = pool._helpers
+        real_close(pool)
+        for helper_set in started:
+            if helper_set.threads is threads and not any(thread.is_alive() for thread in threads):
+                helper_set.joins += 1
 
-    monkeypatch.setattr(gateway, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(CallPool, "_start_helpers", start)
+    monkeypatch.setattr(CallPool, "close", close)
     return started
 
 
@@ -334,7 +350,7 @@ class FailingAt(TagSensitiveBackend):
 
 
 @pytest.mark.parametrize("fails_at", [None, "refine/iter1/", "test/"], ids=["complete", "optimizer", "test-pass"])
-def test_a_cli_trial_runs_on_one_call_pool(tmp_path, monkeypatch, executors, fails_at):
+def test_a_cli_trial_runs_on_one_call_pool(tmp_path, monkeypatch, helper_sets, fails_at):
     """The optimizer and the test pass share the trial's one pool, whose
     threads start once and stop once, however the trial ends."""
     pools = []
@@ -351,7 +367,7 @@ def test_a_cli_trial_runs_on_one_call_pool(tmp_path, monkeypatch, executors, fai
     assert len(pools) == (1 if fails_at == "refine/iter1/" else 2)
     assert isinstance(pools[0], CallPool) and pools[0].max_inflight == 4
     assert all(pool is pools[0] for pool in pools)
-    assert [executor.shutdowns for executor in executors] == [1]
+    assert [helper_set.joins for helper_set in helper_sets] == [1]
 
 
 @pytest.fixture
@@ -362,7 +378,7 @@ def widths(monkeypatch):
     return opened
 
 
-def test_a_trial_whose_backend_never_waits_starts_no_thread(tmp_path, monkeypatch, executors, widths):
+def test_a_trial_whose_backend_never_waits_starts_no_thread(tmp_path, monkeypatch, helper_sets, widths):
     """The scripted backend, and a record or replay cache in front of it,
     answer from memory: their trials run at width 1 whatever
     ``max_inflight`` says."""
@@ -371,17 +387,17 @@ def test_a_trial_whose_backend_never_waits_starts_no_thread(tmp_path, monkeypatc
         doc = trial_doc("momentum-case2", 24, cache_mode=cache_mode, cache_path=cache_path)
         run_trial(tmp_path, cache_mode, doc, monkeypatch)
     assert widths == [1, 1, 1]
-    assert executors == []
+    assert helper_sets == []
 
 
 @pytest.mark.parametrize("cache_mode", ["off", "record", "passthrough"])
 def test_a_trial_whose_backend_declares_nothing_keeps_max_inflight(
-    tmp_path, monkeypatch, executors, widths, cache_mode
+    tmp_path, monkeypatch, helper_sets, widths, cache_mode
 ):
     doc = trial_doc("momentum-case2", 24, cache_mode=cache_mode, cache_path=str(tmp_path / "cache.jsonl"))
     run_trial(tmp_path, "trial", doc, monkeypatch, TagSensitiveBackend())
     assert widths == [24]
-    assert len(executors) == 1
+    assert [len(helper_set.threads) for helper_set in helper_sets] == [23]
 
 
 def test_wrappers_wait_as_their_inner_backend_does():
@@ -397,7 +413,7 @@ def test_wrappers_wait_as_their_inner_backend_does():
 
 
 @pytest.mark.parametrize("budget", [None, 40])
-def test_run_tsgd_leaves_the_callers_pool_open(executors, budget):
+def test_run_tsgd_leaves_the_callers_pool_open(helper_sets, budget):
     """A finished or failed run leaves the caller's pool running, and the
     caller's next work reuses its threads."""
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
@@ -410,10 +426,10 @@ def test_run_tsgd_leaves_the_callers_pool_open(executors, budget):
             run_tsgd(small_run_config(), task, TagSensitiveBackend(), max_lm_calls=budget, pool=pool)
         except BudgetExceededError:
             assert budget is not None
-        assert [executor.shutdowns for executor in executors] == [0]
+        assert [helper_set.joins for helper_set in helper_sets] == [0]
         accuracy = test_pass(pool)
-        assert [executor.shutdowns for executor in executors] == [0]
-    assert [executor.shutdowns for executor in executors] == [1]
+        assert [helper_set.joins for helper_set in helper_sets] == [0]
+    assert [helper_set.joins for helper_set in helper_sets] == [1]
     assert accuracy == test_pass()
 
 
@@ -644,6 +660,101 @@ class TestCallPool:
                     assert sorted(concurrent) == sorted(sequential)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_run_stress_with_failures_between_runs_on_one_pool(self):
+        # Five clean runs of a tree of follow-ups, each followed by a run
+        # whose queue holds two failing tasks behind the tree's roots.
+        def tree(seen, failing=False):
+            def node(path):
+                def run():
+                    seen.append(path)
+                    return [node(path + (i,)) for i in range(3)] if len(path) < 4 else []
+
+                return run
+
+            def fail(name):
+                def run():
+                    seen.append(name)
+                    raise RuntimeError(name)
+
+                return run
+
+            return [node((i,)) for i in range(4)] + ([fail("task 4"), fail("task 5")] if failing else [])
+
+        sequential = []
+        CallPool(1).run(tree(sequential))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with CallPool(16) as pool:
+                failed_runs = []
+                for _ in range(5):
+                    concurrent = []
+                    pool.run(tree(concurrent))
+                    assert sorted(concurrent) == sorted(sequential)
+                    failed = []
+                    with pytest.raises(RuntimeError, match="task 4"):
+                        pool.run(tree(failed, failing=True))
+                    failed_runs.append((failed, len(failed)))
+                pool.run(tree([]))
+        finally:
+            sys.setswitchinterval(interval)
+        # No task of a failed run started after that run raised.
+        assert [len(failed) for failed, _ in failed_runs] == [count for _, count in failed_runs]
+
+    def test_a_failed_run_leaves_the_pool_ready_for_the_next(self):
+        started = []
+
+        def work(i: int) -> int:
+            started.append(i)
+            if i == 0:
+                raise RuntimeError("first")
+            time.sleep(0.001)
+            return i
+
+        with CallPool(4) as pool:
+            with pytest.raises(RuntimeError, match="first"):
+                pool.map(work, range(100))
+            count = len(started)
+            assert pool.map(lambda i: i * i, range(50)) == [i * i for i in range(50)]
+            time.sleep(0.05)
+        assert count < 100
+        assert len(started) == count
+
+    def test_runs_from_two_threads_take_turns(self):
+        barrier = threading.Barrier(2, timeout=5)
+        order, results = [], {}
+
+        def call(name: str) -> None:
+            def work(i: int) -> tuple[str, int]:
+                order.append(name)
+                time.sleep(0.001)
+                return name, i
+
+            barrier.wait()
+            results[name] = pool.map(work, range(20))
+
+        with CallPool(4) as pool:
+            callers = [threading.Thread(target=call, args=(name,)) for name in "ab"]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(10)
+                assert not caller.is_alive()
+        assert results == {name: [(name, i) for i in range(20)] for name in "ab"}
+        # Every task of one run started before any task of the other.
+        assert [name for name, _ in itertools.groupby(order)] in (["a", "b"], ["b", "a"])
+
+    def test_a_pool_left_open_does_not_hold_up_exit(self):
+        source = str(Path(gateway.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
+        code = (
+            "from tsgdm.gateway import CallPool\n"
+            "pool = CallPool(4)\n"
+            "assert pool.map(abs, range(-8, 0)) == list(range(8, 0, -1))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_scoring_starts_while_other_candidates_still_generate():

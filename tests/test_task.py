@@ -67,6 +67,12 @@ class TestParseLabel:
     def test_empty_label_never_matches(self):
         assert parse_label("anything", ("", "yes")) is None
 
+    def test_labels_that_normalize_the_same_are_both_present(self):
+        labels = ["Yes", "yes!", "no"]
+        assert parse_label("YES.", labels) is None
+        assert parse_label("no", labels) == "no"
+        assert parse_label("no", tuple(labels)) == "no"
+
     def test_labels_parse_back_to_themselves_for_all_presets(self):
         for preset in load_presets().values():
             for label in preset.labels:
