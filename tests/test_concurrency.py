@@ -696,6 +696,7 @@ class TestCallPool:
                     with pytest.raises(RuntimeError, match="task 4"):
                         pool.run(tree(failed, failing=True))
                     failed_runs.append((failed, len(failed)))
+                # One more run, so that every failed run has a run after it.
                 pool.run(tree([]))
         finally:
             sys.setswitchinterval(interval)
