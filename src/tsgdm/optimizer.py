@@ -45,7 +45,6 @@ from .rng import STREAM_BATCH, STREAM_CANDIDATES, RandomStream, substream
 from .task import ScoreFunction, TaskBinding, check_batch, sample_batch, predict
 
 Triple = tuple[str, str, str]
-ScoreFn = Callable[[str], float]
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +301,29 @@ class IterationRow:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one optimization run."""
+    """Outcome of one optimization run: its rows and why it stopped."""
 
-    best_prompt: str
     per_iteration: tuple[IterationRow, ...]
     stop_reason: StopReason
-    total_lm_calls: int
 
     @property
     def best_row(self) -> IterationRow:
+        """The earliest row with the highest holdout score."""
         return max(self.per_iteration, key=lambda row: row.holdout_score)
+
+    @property
+    def best_prompt(self) -> str:
+        return self.best_row.selected_prompt
 
     @property
     def best_score(self) -> float:
         return self.best_row.holdout_score
+
+    @property
+    def total_lm_calls(self) -> int:
+        """Every gateway call of the run: the last row is taken after its
+        last call."""
+        return self.per_iteration[-1].gateway_calls
 
     def to_dict(self) -> dict:
         return {
@@ -462,19 +470,15 @@ def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
 
 class _Candidates:
     """The k candidates of iteration ``t``. :meth:`tasks` makes candidate
-    ``j`` in task ``j``; when ``score`` is a :class:`ScoreFunction`, that
-    task returns the candidate's forward passes over ``score``'s examples,
-    tagged ``{score.tag}/iter{t}/cand{j}/ex{i}``, so scoring starts as soon
-    as the candidate is made."""
+    ``j`` in task ``j``, and that task returns the candidate's forward
+    passes over ``score``'s examples, tagged
+    ``{score.tag}/iter{t}/cand{j}/ex{i}``, so scoring starts as soon as the
+    candidate is made."""
 
-    def __init__(self, k: int, score: ScoreFn, t: int) -> None:
-        self.score = score
+    def __init__(self, k: int, score: ScoreFunction, t: int) -> None:
         self.texts = [""] * k
-        self.streamed = isinstance(score, ScoreFunction)
-        n = len(score.examples) if self.streamed else 0
-        self.hits = [[False] * n for _ in range(k)]
-        tags = [f"{score.tag}/iter{t}/cand{j}" for j in range(k)] if self.streamed else []
-        self.scorers = [dataclasses.replace(score, tag=tag) for tag in tags]
+        self.hits = [[False] * len(score.examples) for _ in range(k)]
+        self.scorers = [dataclasses.replace(score, tag=f"{score.tag}/iter{t}/cand{j}") for j in range(k)]
 
     def tasks(self, make: Callable[[int], str]) -> list[Task]:
         return [functools.partial(self._generate, make, j) for j in range(len(self.texts))]
@@ -487,14 +491,8 @@ class _Candidates:
         self.hits[j][i] = self.scorers[j].hit(self.texts[j], i)
 
     def select(self) -> tuple[int, float, list[float]]:
-        """The :func:`_argmax` of the streamed scores, or else of
-        ``score`` on the finished candidates: in one batch if it has a
-        ``many`` method, else once per candidate, in order."""
-        if self.streamed:
-            return _argmax([sum(row) / len(row) for row in self.hits])
-        many = getattr(self.score, "many", None)
-        scores = many(self.texts) if many is not None else map(self.score, self.texts)
-        return _argmax([float(s) for s in scores])
+        """The :func:`_argmax` of the candidates' mean hits."""
+        return _argmax([sum(row) / len(row) for row in self.hits])
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +517,6 @@ def run_tsgd(
     config: RunConfig,
     task: TaskBinding,
     lm: Backend,
-    rng: RandomStream | None = None,
-    score_fn: ScoreFn | None = None,
     max_lm_calls: int | None = None,
     pool: CallPool = SEQUENTIAL,
 ) -> RunResult:
@@ -533,16 +529,14 @@ def run_tsgd(
     block loop over the conditioning that its update rule picks: the joined
     history in concat mode, the newest record in vanilla mode, and in
     momentum mode the records of a draw plan taken from its own
-    ``substream(root, STREAM_CANDIDATES, t, j)``, which nothing else reads.
-    Candidate selection scores come from the holdout split unless
-    ``score_fn`` overrides them. The run stops early once the best holdout
-    score has gone ``config.patience`` consecutive rounds without strict
-    improvement, and always returns the highest-scoring prompt seen,
-    including the initial one.
+    ``substream(config.seed, STREAM_CANDIDATES, t, j)``, which nothing else
+    reads. A prompt's score is its mean hit over the holdout split. The run
+    stops early once the best holdout score has gone ``config.patience``
+    consecutive rounds without strict improvement, and always returns the
+    highest-scoring prompt seen, including the initial one.
 
-    All randomness descends from ``config.seed``; passing ``rng`` replaces
-    that root with a seed drawn from the given stream, and sampled requests
-    carry the root as their ``sample_seed``. A train pool that
+    All randomness descends from ``config.seed``, and sampled requests
+    carry it as their ``sample_seed``. A train pool that
     :func:`sample_batch` would refuse fails before the first call, in every
     mode. On failure the partial row list is attached to the raised
     exception as ``partial_run_log``.
@@ -555,12 +549,10 @@ def run_tsgd(
     queue starts with the batch forward passes; the last of them to finish
     queues the error analysis, which queues the k candidate generations.
     In the other modes it starts with the k generations. As soon as
-    candidate j is made, its |holdout| forward passes join the queue. A
-    ``score_fn`` that is not a :class:`ScoreFunction` instead scores all k
-    candidates once the queue drains, in one ``many`` batch if it has one.
-    The round's record, with its batch triples in gradient mode, is
-    appended once the queue drains; generation sees it earlier through a
-    view of the history.
+    candidate j is made, its |holdout| forward passes join the queue. The
+    round's record, with its batch triples in gradient mode, is appended
+    once the queue drains; generation sees it earlier through a view of the
+    history.
 
     Every request and its place in the result are fixed before it is sent,
     so the result is byte-identical at every pool width. The default,
@@ -569,13 +561,9 @@ def run_tsgd(
     the k generations, then the holdout passes by candidate and example; in
     the other modes the k generations, then the holdout passes.
     """
-    if rng is None:
-        root_seed = config.seed
-    else:
-        root_seed = int(rng.integers(0, 2**63))
-    counter = CallCounter(_RunDraws(lm, root_seed), max_calls=max_lm_calls)
+    counter = CallCounter(_RunDraws(lm, config.seed), max_calls=max_lm_calls)
     gen = config.generation
-    score = score_fn if score_fn is not None else task.score_function(counter, pool=pool)
+    score = task.score_function(counter, pool=pool)
     train = task.train[: config.train_size]
     history = OptimizerHistory()
     rows: list[IterationRow] = []
@@ -597,7 +585,7 @@ def run_tsgd(
         if config.total_iterations:
             check_batch(len(train), config.batch_size, config.sample_with_replacement)
         current_prompt = task.initial_prompt
-        best = float(score(current_prompt))
+        best = score(current_prompt)
         snapshot(0, current_prompt, best, (), 0)
         stop_reason = StopReason.MAX_ITERATIONS
         stale = 0
@@ -606,13 +594,13 @@ def run_tsgd(
             pick = _Candidates(gen.candidates, score, t)
 
             def generations(newest: PromptRecord) -> list[Task]:
-                return pick.tasks(_maker((*history, newest), gen, config.use_momentum, root_seed, counter))
+                return pick.tasks(_maker((*history, newest), gen, config.use_momentum, config.seed, counter))
 
             if gen.mode is GenerationMode.CASE2_GRADIENT:
                 batch = sample_batch(
                     train,
                     config.batch_size,
-                    substream(root_seed, STREAM_BATCH, t),
+                    substream(config.seed, STREAM_BATCH, t),
                     with_replacement=config.sample_with_replacement,
                 )
                 triples: list[Triple | None] = [None] * len(batch)
@@ -663,10 +651,4 @@ def run_tsgd(
         exc.partial_run_log = tuple(rows)
         raise
 
-    best_row = max(rows, key=lambda row: row.holdout_score)
-    return RunResult(
-        best_prompt=best_row.selected_prompt,
-        per_iteration=tuple(rows),
-        stop_reason=stop_reason,
-        total_lm_calls=counter.calls,
-    )
+    return RunResult(per_iteration=tuple(rows), stop_reason=stop_reason)

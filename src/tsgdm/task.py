@@ -175,9 +175,7 @@ def score_prompt(
 
 @dataclass
 class ScoreFunction:
-    """Callable scorer bound to a fixed example slice and backend;
-    :meth:`many` scores several prompts in one batch of :meth:`hit`
-    forward passes."""
+    """Callable scorer bound to a fixed example slice and backend."""
 
     examples: tuple[LabeledExample, ...]
     lm: Backend
@@ -187,22 +185,17 @@ class ScoreFunction:
     tag: str = "score"
     pool: CallPool = SEQUENTIAL
 
-    def many(self, prompts: Sequence[str]) -> list[float]:
-        """Mean :meth:`hit` of each prompt over the examples.
+    def __call__(self, prompt_text: str) -> float:
+        """Mean :meth:`hit` of ``prompt_text`` over the examples, whose
+        forward passes go through one ``pool.map`` in example order.
 
         Scoring zero examples raises :class:`EmptySetError` rather than
-        returning a fake 0.0. All ``len(prompts) * len(examples)`` forward
-        passes go through one ``pool.map``, ordered by prompt and then by
-        example.
+        returning a fake 0.0.
         """
         if not self.examples:
             raise EmptySetError("cannot score a prompt over zero examples")
-        n = len(self.examples)
-        hits = self.pool.map(lambda item: self.hit(*item), [(p, i) for p in prompts for i in range(n)])
-        return [sum(hits[start : start + n]) / n for start in range(0, len(hits), n)]
-
-    def __call__(self, prompt_text: str) -> float:
-        return self.many([prompt_text])[0]
+        hits = self.pool.map(functools.partial(self.hit, prompt_text), range(len(self.examples)))
+        return sum(hits) / len(hits)
 
     def hit(self, prompt_text: str, i: int) -> bool:
         """Whether ``prompt_text`` gets example ``i`` right: one forward
@@ -261,19 +254,9 @@ class TaskBinding:
     def score_kind(self) -> ScoreKind:
         return ScoreKind.EXACT_MATCH if self.exact_match else ScoreKind.CLASSIFICATION_ACCURACY
 
-    def score_function(
-        self, lm: Backend, split: str = "holdout", tag: str = "score", pool: CallPool = SEQUENTIAL
-    ) -> ScoreFunction:
-        examples = {"train": self.train, "holdout": self.holdout, "test": self.test}[split]
-        return ScoreFunction(
-            examples=examples,
-            lm=lm,
-            kind=self.score_kind,
-            label_set=self.label_set,
-            forward_template=self.forward_template,
-            tag=tag,
-            pool=pool,
-        )
+    def score_function(self, lm: Backend, pool: CallPool = SEQUENTIAL) -> ScoreFunction:
+        """The holdout scorer, tagging its passes ``score/ex{i}``."""
+        return ScoreFunction(self.holdout, lm, self.score_kind, self.label_set, self.forward_template, pool=pool)
 
 
 # ---------------------------------------------------------------------------

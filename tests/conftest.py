@@ -1,4 +1,4 @@
-"""Shared test helpers: scripted backends, canned score functions, and
+"""Shared test helpers: scripted backends, scripted holdout scores, and
 one-trial CLI runs of each update rule."""
 
 from __future__ import annotations
@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 import tsgdm.cli as cli
-from tsgdm import ScriptRule, ScriptedBackend, synthetic_binding
+from tsgdm import CompletionRequest, CompletionResult, FinishReason, ScriptRule, ScriptedBackend, synthetic_binding
 from tsgdm.cli import parse_config_data, run_experiment
 
 
@@ -24,29 +24,25 @@ def make_marker_backend(extra_rules=()) -> ScriptedBackend:
     return ScriptedBackend(rules=rules, default_response=" blue")
 
 
-class SequenceScore:
-    """Score function returning a fixed sequence, one value per call."""
+class HoldoutHits:
+    """Backend wrapper that scripts holdout scores. A greedy
+    ``score/.../ex{i}`` pass answers right when ``i < hits[instruction]``
+    and wrong otherwise, where the instruction is the forward prompt's
+    first line and unlisted instructions get 0 hits; so a prompt with h
+    hits scores h / |holdout|. Every other request goes to ``inner``."""
 
-    def __init__(self, values):
-        self.values = list(values)
-        self.calls = []
+    def __init__(self, inner, task, hits=()):
+        self.inner = inner
+        self.holdout = task.holdout
+        self.hits = dict(hits)
 
-    def __call__(self, prompt_text: str) -> float:
-        self.calls.append(prompt_text)
-        return self.values[len(self.calls) - 1]
-
-
-class MappedScore:
-    """Score function keyed on candidate text, with a call counter."""
-
-    def __init__(self, mapping, default=0.0):
-        self.mapping = dict(mapping)
-        self.default = default
-        self.calls = []
-
-    def __call__(self, prompt_text: str) -> float:
-        self.calls.append(prompt_text)
-        return self.mapping.get(prompt_text, self.default)
+    def complete(self, request: CompletionRequest) -> CompletionResult:
+        if request.temperature > 0.0 or not request.request_tag.startswith("score/"):
+            return self.inner.complete(request)
+        i = int(request.request_tag.rsplit("/ex", 1)[1])
+        right = i < self.hits.get(request.prompt_text.split("\n", 1)[0], 0)
+        text = f" {self.holdout[i].gold_label}" if right else " none"
+        return CompletionResult(text=text, finish_reason=FinishReason.STOP)
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from tsgdm import (
 )
 from tsgdm.rng import STREAM_VARIANCE
 from tsgdm.templates import CONCAT_HISTORY_PROMPT
-from conftest import SequenceScore, make_marker_backend
+from conftest import HoldoutHits, make_marker_backend
 
 GRID_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 GRID_HORIZONS = (1, 2, 5, 10, 20, 50)
@@ -243,8 +243,9 @@ def test_criterion_6_seeded_runs_are_reproducible():
             alpha=0.0, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=1
         ),
     )
-    trace = SequenceScore([0.5, 0.6, 0.6, 0.6])
-    stalled = run_tsgd(config, synthetic_binding(12, 6, 6, seed=7), chain, score_fn=trace)
+    tiny = synthetic_binding(12, 6, 6, seed=7)
+    trace = HoldoutHits(chain, tiny, {tiny.initial_prompt: 3, "gen-1": 4, "gen-2": 4, "gen-3": 4})
+    stalled = run_tsgd(config, tiny, trace)
     assert stalled.stop_reason.value == "early_stopped"
     assert len(stalled.per_iteration) == 4
     assert stalled.best_prompt == stalled.per_iteration[1].selected_prompt == "gen-1"

@@ -1,7 +1,12 @@
 """The public surface: ``from tsgdm import *`` works, ``__all__`` names
-each export once, and the names the one update rule replaced stay gone."""
+each export once, the names the one update rule and the one scoring path
+replaced stay gone, and README's code runs."""
 
 from __future__ import annotations
+
+import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,7 @@ REMOVED = {
         "update_concat",
         "_update",
         "_select_candidate",
+        "ScoreFn",
     ),
     tsgdm.task: ("binding_from_preset", "score_prompts"),
 }
@@ -46,3 +52,19 @@ def test_removed_name_is_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(tsgdm, name)
     assert name not in tsgdm.__all__
+
+
+def test_run_tsgd_takes_no_score_fn_or_rng():
+    assert {"score_fn", "rng"}.isdisjoint(inspect.signature(tsgdm.run_tsgd).parameters)
+
+
+def test_score_function_has_no_many():
+    assert not hasattr(tsgdm.ScoreFunction, "many")
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

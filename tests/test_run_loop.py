@@ -31,7 +31,7 @@ from tsgdm import (
 )
 from tsgdm.optimizer import draw_plan
 from tsgdm.rng import STREAM_CANDIDATES
-from conftest import SequenceScore, make_marker_backend
+from conftest import HoldoutHits, make_marker_backend
 
 
 def chain_backend():
@@ -118,58 +118,56 @@ class TestHistoryTypes:
             PromptRecord(0, "a", holdout_score=1.5)
 
 
+def chain_hits(task, *hits):
+    """:func:`chain_backend` with ``hits[0]`` holdout hits for the initial
+    prompt and ``hits[t]`` for gen-t."""
+    prompts = (task.initial_prompt, "gen-1", "gen-2", "gen-3")
+    return HoldoutHits(chain_backend(), task, zip(prompts, hits))
+
+
 class TestRunLoop:
     def test_t_zero_returns_initial_prompt(self, tiny_task):
         config = small_config(total_iterations=0)
-        result = run_tsgd(config, tiny_task, make_marker_backend(), score_fn=SequenceScore([0.42]))
+        backend = HoldoutHits(make_marker_backend(), tiny_task, {tiny_task.initial_prompt: 2})
+        result = run_tsgd(config, tiny_task, backend)
         assert result.best_prompt == tiny_task.initial_prompt
         assert result.stop_reason is StopReason.MAX_ITERATIONS
         assert len(result.per_iteration) == 1
-        assert result.per_iteration[0].holdout_score == 0.42
-        assert result.total_lm_calls == 0
+        assert result.per_iteration[0].holdout_score == 2 / 6
+        assert result.total_lm_calls == len(tiny_task.holdout)
 
     def test_early_stop_trace_returns_iteration_one_prompt(self, tiny_task):
-        score = SequenceScore([0.5, 0.6, 0.6, 0.6])
-        result = run_tsgd(small_config(), tiny_task, chain_backend(), score_fn=score)
+        result = run_tsgd(small_config(), tiny_task, chain_hits(tiny_task, 3, 4, 4, 4))
         assert result.stop_reason is StopReason.EARLY_STOPPED
         assert len(result.per_iteration) == 4
-        assert [row.holdout_score for row in result.per_iteration] == [0.5, 0.6, 0.6, 0.6]
+        assert [row.holdout_score for row in result.per_iteration] == [3 / 6, 4 / 6, 4 / 6, 4 / 6]
         assert [row.selected_prompt for row in result.per_iteration[1:]] == [
             "gen-1",
             "gen-2",
             "gen-3",
         ]
         assert result.best_prompt == "gen-1"
-        assert result.best_score == 0.6
+        assert result.best_score == 4 / 6
 
     def test_iteration_rows_are_contiguous(self, tiny_task):
-        result = run_tsgd(
-            small_config(), tiny_task, chain_backend(), score_fn=SequenceScore([0.5, 0.6, 0.6, 0.6])
-        )
+        result = run_tsgd(small_config(), tiny_task, chain_hits(tiny_task, 3, 4, 4, 4))
         assert [row.iteration for row in result.per_iteration] == [0, 1, 2, 3]
 
     def test_best_prompt_is_earliest_max(self, tiny_task):
-        score = SequenceScore([0.5, 0.9, 0.7, 0.7])
-        result = run_tsgd(small_config(), tiny_task, chain_backend(), score_fn=score)
+        result = run_tsgd(small_config(), tiny_task, chain_hits(tiny_task, 3, 5, 4, 4))
         assert result.best_prompt == "gen-1"
-        assert result.best_score == 0.9
+        assert result.best_score == 5 / 6
         assert result.stop_reason is StopReason.EARLY_STOPPED
 
     def test_max_iterations_when_patience_never_fires(self, tiny_task):
-        score = SequenceScore([0.1, 0.2, 0.3, 0.4])
-        result = run_tsgd(
-            small_config(total_iterations=3), tiny_task, chain_backend(), score_fn=score
-        )
+        result = run_tsgd(small_config(total_iterations=3), tiny_task, chain_hits(tiny_task, 1, 2, 3, 4))
         assert result.stop_reason is StopReason.MAX_ITERATIONS
         assert len(result.per_iteration) == 4
         assert result.best_prompt == "gen-3"
 
     def test_counts_gateway_calls_monotonically(self, tiny_task):
         result = run_tsgd(
-            small_config(total_iterations=2, patience=5),
-            tiny_task,
-            chain_backend(),
-            score_fn=SequenceScore([0.1, 0.2, 0.3]),
+            small_config(total_iterations=2, patience=5), tiny_task, chain_hits(tiny_task, 1, 2, 3)
         )
         calls = [row.gateway_calls for row in result.per_iteration]
         assert calls == sorted(calls)
@@ -192,26 +190,6 @@ class TestRunLoop:
             f"score/iter{t}/cand{j}/ex{i}" for t in range(2) for j in range(2) for i in examples
         ]
         assert [r.request_tag for r in backend.call_log if r.request_tag.startswith("score/")] == expected
-
-    def test_a_batch_scorer_scores_each_iteration_in_one_call(self, tiny_task):
-        class BatchScore:
-            def __init__(self):
-                self.batches = []
-
-            def __call__(self, prompt_text):
-                return 0.25
-
-            def many(self, prompts):
-                self.batches.append(list(prompts))
-                return [0.5 + 0.1 * (j == 2) for j in range(len(prompts))]
-
-        score = BatchScore()
-        gen = GenerationParams(alpha=0.0, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=4)
-        config = small_config(total_iterations=2, patience=9, generation=gen)
-        result = run_tsgd(config, tiny_task, chain_backend(), score_fn=score)
-        assert [len(batch) for batch in score.batches] == [4, 4]
-        assert [row.selected_candidate_index for row in result.per_iteration] == [0, 2, 2]
-        assert [row.holdout_score for row in result.per_iteration] == [0.25, 0.6, 0.6]
 
     def test_real_holdout_scoring_counts_examples(self, tiny_task):
         config = small_config(total_iterations=0)
@@ -244,8 +222,7 @@ class TestRunLoop:
             run_tsgd(
                 small_config(total_iterations=1, seed=seed, generation=gen),
                 tiny_task,
-                backend,
-                score_fn=SequenceScore([0.1, 0.2]),
+                HoldoutHits(backend, tiny_task),
             )
             logs.append([r.prompt_text for r in backend.call_log if r.request_tag.startswith("predict")])
         assert logs[0] != logs[1]
@@ -264,7 +241,7 @@ class TestRunLoop:
                 mode="concat_baseline",
             ),
         )
-        run_tsgd(config, tiny_task, backend, score_fn=SequenceScore([0.1, 0.2, 0.3]))
+        run_tsgd(config, tiny_task, HoldoutHits(backend, tiny_task))
         refine_calls = [r for r in backend.call_log if r.request_tag.startswith("refine")]
         assert refine_calls
         assert all(
@@ -286,7 +263,7 @@ class TestRunLoop:
                 mode="case2_gradient",
             ),
         )
-        run_tsgd(config, tiny_task, backend, score_fn=SequenceScore([0.1, 0.2, 0.3]))
+        run_tsgd(config, tiny_task, HoldoutHits(backend, tiny_task))
         analyze_calls = [r for r in backend.call_log if r.request_tag.startswith("analyze")]
         refine_calls = [r for r in backend.call_log if r.request_tag.startswith("refine")]
         assert [r.request_tag for r in analyze_calls] == ["analyze/iter0", "analyze/iter1"]
@@ -310,7 +287,8 @@ class TestRunLoop:
                 mode="concat_baseline",
             ),
         )
-        result = run_tsgd(config, tiny_task, backend, score_fn=SequenceScore([0.1, 0.2, 0.3, 0.4]))
+        hits = {tiny_task.initial_prompt: 1, "gen-1": 2, "gen-2": 3, "gen-3": 4}
+        result = run_tsgd(config, tiny_task, HoldoutHits(backend, tiny_task, hits))
         prompts = [row.selected_prompt for row in result.per_iteration]
         assert prompts == [tiny_task.initial_prompt, "gen-1", "gen-2", "gen-3"]
         for t in range(3):
@@ -322,14 +300,9 @@ class TestRunLoop:
         # Candidate j of round t conditions each block on the record its
         # draw plan names, drawn from its own substream.
         gen = GenerationParams(alpha=1.0, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=4)
-        score = {"gen-1": 0.5, "gen-2": 0.6, "gen-3": 0.7}.get
         backend = chain_backend()
-        result = run_tsgd(
-            small_config(total_iterations=3, patience=5, generation=gen),
-            tiny_task,
-            backend,
-            score_fn=lambda prompt: score(prompt, 0.0),
-        )
+        scored = HoldoutHits(backend, tiny_task, {"gen-1": 3, "gen-2": 4, "gen-3": 5})
+        result = run_tsgd(small_config(total_iterations=3, patience=5, generation=gen), tiny_task, scored)
         prompts = [row.selected_prompt for row in result.per_iteration]
         assert len(set(prompts)) == 4
         for t in (1, 2):
@@ -414,7 +387,5 @@ class TestFailureHandling:
 
     def test_oversized_batch_with_replacement_runs(self, tiny_task):
         config = small_config(batch_size=50, total_iterations=1, sample_with_replacement=True)
-        result = run_tsgd(
-            config, tiny_task, make_marker_backend(), score_fn=SequenceScore([0.1, 0.2])
-        )
+        result = run_tsgd(config, tiny_task, HoldoutHits(make_marker_backend(), tiny_task))
         assert len(result.per_iteration) == 2

@@ -13,7 +13,6 @@ from tsgdm import (
     LabelError,
     LabeledExample,
     ParseError,
-    ScoreFunction,
     ScoreKind,
     ScriptRule,
     ScriptedBackend,
@@ -235,44 +234,6 @@ class TestScorePrompt:
         score = score_prompt("P", examples, backend, kind=ScoreKind.EXACT_MATCH)
         assert score == 0.5
 
-    def test_score_prompts_orders_calls_by_prompt_then_example(self):
-        backend = self.backend()
-        scores = ScoreFunction(self.examples(), backend, label_set=("yes", "no")).many(["P", "Q"])
-        assert scores == [pytest.approx(2 / 3)] * 2
-        assert [(r.prompt_text.split("\n")[0], r.request_tag) for r in backend.call_log] == [
-            (prompt, f"score/ex{i}") for prompt in ("P", "Q") for i in range(3)
-        ]
-
-    @pytest.mark.parametrize("exact_match", [False, True])
-    def test_many_equals_one_call_per_prompt(self, exact_match):
-        backend = ScriptedBackend(
-            rules=[
-                ScriptRule("loose", " yes no"),
-                ScriptRule("strict\nalpha", " yes 42"),
-                ScriptRule("alpha", " yes"),
-                ScriptRule("beta", " no 42"),
-            ],
-            default_response=" 7",
-        )
-        task = TaskBinding(
-            name="t",
-            label_set=() if exact_match else ("yes", "no"),
-            train=(),
-            holdout=(
-                LabeledExample("alpha", "42" if exact_match else "yes"),
-                LabeledExample("beta", "42" if exact_match else "no"),
-                LabeledExample("gamma", "7" if exact_match else "yes"),
-            ),
-            test=(),
-            initial_prompt="P",
-            exact_match=exact_match,
-        )
-        fn = task.score_function(backend)
-        prompts = ["strict", "loose", "other", "strict"]
-        batched = fn.many(prompts)
-        assert batched == [fn(p) for p in prompts]
-        assert len(set(batched)) > 1
-
     def test_score_function_binds_split(self, tiny_task):
         backend = ScriptedBackend(
             rules=[
@@ -281,10 +242,10 @@ class TestScorePrompt:
             ],
             default_response=" blue",
         )
-        fn = tiny_task.score_function(backend, split="test", tag="final")
+        fn = tiny_task.score_function(backend)
+        assert fn.examples == tiny_task.holdout
         assert fn(tiny_task.initial_prompt) == 1.0
-        assert len(backend.call_log) == len(tiny_task.test)
-        assert backend.call_log[0].request_tag == "final/ex0"
+        assert [r.request_tag for r in backend.call_log] == [f"score/ex{i}" for i in range(len(tiny_task.holdout))]
 
 
 class TestTaskBinding:

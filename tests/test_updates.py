@@ -6,7 +6,11 @@ checked through :func:`run_tsgd` and :func:`tsgdm.optimizer._argmax`.
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgdm import (
     CompletionResult,
@@ -20,10 +24,12 @@ from tsgdm import (
     ScriptedBackend,
     run_tsgd,
     substream,
+    synthetic_binding,
 )
+from tsgdm.gateway import CallPool
 from tsgdm.optimizer import _argmax, _maker
 from tsgdm.rng import STREAM_CANDIDATES
-from conftest import MappedScore
+from conftest import HoldoutHits
 
 
 class TagBackend:
@@ -42,6 +48,23 @@ class TagBackend:
         return CompletionResult(text=" blue", finish_reason=FinishReason.STOP)
 
 
+class HitMatrix:
+    """Answers holdout pass ``score/iter0/cand{j}/ex{i}`` right exactly
+    where ``matrix[j][i]`` is true, and every other request " none"."""
+
+    def __init__(self, task, matrix):
+        self.holdout = task.holdout
+        self.matrix = matrix
+
+    def complete(self, request):
+        found = re.fullmatch(r"score/iter0/cand(\d+)/ex(\d+)", request.request_tag)
+        if found:
+            j, i = map(int, found.groups())
+            if self.matrix[j][i]:
+                return CompletionResult(text=f" {self.holdout[i].gold_label}", finish_reason=FinishReason.STOP)
+        return CompletionResult(text=" none", finish_reason=FinishReason.STOP)
+
+
 def history_of(*prompts):
     history = OptimizerHistory()
     for i, prompt in enumerate(prompts):
@@ -55,13 +78,14 @@ def gen_with(k, **kwargs):
     return GenerationParams(**defaults)
 
 
-def one_round(task, gen, backend, score, use_momentum=True):
-    """Row 1 of a one-iteration run of ``gen``."""
+def one_round(task, gen, backend, hits=(), use_momentum=True):
+    """Row 1 of a one-iteration run of ``gen``, with holdout scores
+    scripted by :class:`HoldoutHits`."""
     config = RunConfig(
         total_iterations=1, batch_size=3, train_size=12, patience=2, hypothesis_preset="custom",
         seed=5, generation=gen, use_momentum=use_momentum,
     )
-    return run_tsgd(config, task, backend, score_fn=score).per_iteration[1]
+    return run_tsgd(config, task, HoldoutHits(backend, task, hits)).per_iteration[1]
 
 
 def chain_backend():
@@ -83,28 +107,28 @@ class TestUpdateMom:
             _maker(OptimizerHistory(), gen_with(1), True, 0, ScriptedBackend())
 
     def test_k3_argmax(self, tiny_task):
-        score = MappedScore({"cand-a": 0.2, "cand-b": 0.9, "cand-c": 0.5})
-        row = one_round(tiny_task, gen_with(3), TagBackend(["cand-a", "cand-b", "cand-c"]), score)
+        hits = {"cand-a": 1, "cand-b": 5, "cand-c": 3}
+        row = one_round(tiny_task, gen_with(3), TagBackend(["cand-a", "cand-b", "cand-c"]), hits)
         assert row.selected_prompt == "cand-b"
         assert row.selected_candidate_index == 1
-        assert row.candidate_scores == (0.2, 0.9, 0.5)
+        assert row.candidate_scores == (1 / 6, 5 / 6, 3 / 6)
         assert _argmax([0.2, 0.9, 0.5]) == (1, 0.9, [0.2, 0.9, 0.5])
 
     def test_tie_breaks_to_lowest_index(self, tiny_task):
-        row = one_round(tiny_task, gen_with(2), TagBackend(["first", "second"]), lambda p: 0.9)
+        row = one_round(tiny_task, gen_with(2), TagBackend(["first", "second"]), {"first": 5, "second": 5})
         assert row.selected_prompt == "first"
-        assert row.candidate_scores == (0.9, 0.9)
+        assert row.candidate_scores == (5 / 6, 5 / 6)
         assert _argmax([0.9, 0.9]) == (0, 0.9, [0.9, 0.9])
 
     def test_k20_generates_twenty_candidates(self, tiny_task):
         backend = ScriptedBackend(default_response="cand")
-        one_round(tiny_task, gen_with(20), backend, lambda p: 0.0)
+        one_round(tiny_task, gen_with(20), backend)
         tags = {r.request_tag.split("/")[2] for r in backend.call_log if r.request_tag.startswith("refine/")}
         assert tags == {f"cand{j}" for j in range(20)}
 
     def test_all_zero_scores_returns_first(self, tiny_task):
         backend = ScriptedBackend(default_response="cand")
-        row = one_round(tiny_task, gen_with(3), backend, lambda p: 0.0)
+        row = one_round(tiny_task, gen_with(3), backend)
         assert row.selected_prompt == "cand"
         assert row.selected_candidate_index == 0
         assert row.candidate_scores == (0.0, 0.0, 0.0)
@@ -136,10 +160,31 @@ class TestUpdateMom:
                 assert own.random(16).tolist() == spawned[j].random(16).tolist()
 
 
+class TestSelection:
+    @pytest.mark.parametrize("width", [1, 8])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_selection_is_the_lowest_argmax_of_the_hit_means(self, width, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        n = data.draw(st.integers(1, 6), label="holdout")
+        matrix = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=k, max_size=k))
+        task = synthetic_binding(n_train=4, n_holdout=n, n_test=1, seed=7)
+        config = RunConfig(
+            total_iterations=1, batch_size=3, train_size=4, patience=2, hypothesis_preset="custom",
+            seed=5, generation=gen_with(k),
+        )
+        with CallPool(width) as pool:
+            row = run_tsgd(config, task, HitMatrix(task, matrix), pool=pool).per_iteration[1]
+        means = [sum(hits) / n for hits in matrix]
+        assert row.candidate_scores == (tuple(means) if k > 1 else ())
+        assert row.selected_candidate_index == means.index(max(means))
+        assert row.holdout_score == max(means)
+
+
 class TestUpdateVanilla:
     def test_k20_count(self, tiny_task):
         backend = ScriptedBackend(default_response="cand")
-        one_round(tiny_task, gen_with(20), backend, lambda p: 0.0, use_momentum=False)
+        one_round(tiny_task, gen_with(20), backend, use_momentum=False)
         assert len([r for r in backend.call_log if r.request_tag.startswith("refine/")]) == 20
 
 
