@@ -41,7 +41,6 @@ from .gateway import (
     CachingBackend,
     CallPool,
     RemoteBackend,
-    RemoteConfig,
     ReplayCache,
     ScriptedBackend,
     waits_on_io,
@@ -102,17 +101,7 @@ def build_backend(settings: BackendSettings, cache: ReplayCache | None) -> Backe
             default_response=settings.scripted_default_response,
         )
     else:
-        inner = RemoteBackend(
-            RemoteConfig(
-                base_url=settings.base_url,
-                model=settings.model,
-                api_key_env=settings.api_key_env,
-                timeout_s=settings.timeout_s,
-                chat=settings.chat,
-                max_attempts=settings.max_attempts,
-                max_inflight=settings.max_inflight,
-            )
-        )
+        inner = RemoteBackend(settings)
     if cache is None:
         return inner
     return CachingBackend(cache, inner)

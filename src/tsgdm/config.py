@@ -3,15 +3,19 @@
 A config document is YAML or JSON. Every field has a default, so an empty
 document runs the bundled synthetic task against the scripted backend.
 :func:`parse_config_data` checks each value against its field's annotation
-and names the dotted path of any value it refuses; only the rules that span
-fields (a preset's operating point, a sweep that would repeat one trial,
-a cache that needs a file) are written out by hand.
+and names the dotted path of any value it refuses. Each class states its
+own rules, for Python callers and the CLI alike: a preset fills the
+patience and temperature left unset and refuses a conflict (``RunConfig``),
+the backend's limits and a cache's need for a file live in
+``BackendSettings``, which ``RemoteBackend`` reads as its only settings,
+and the trial counts in ``ExperimentConfig``. The parser adds only the sweep
+rules, which read the ``sweep`` and ``run`` sections together.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,9 +24,9 @@ from typing import Any, Callable, Literal, Union, get_args, get_origin, get_type
 
 import yaml
 
-from .errors import ConfigError, DomainError, UnknownFieldError
+from .errors import ConfigError, DomainError, UnknownFieldError, check_minimums
 from .gateway import ScriptRule
-from .optimizer import GenerationMode, GenerationParams, HypothesisPreset, RunConfig
+from .optimizer import GenerationMode, GenerationParams, RunConfig
 
 # Demo script for the synthetic task: forward passes echo the marker word,
 # refinement and analysis requests get canned instruction text.
@@ -81,6 +85,7 @@ class BackendSettings:
 
     A record or replay file carries ``kind``, ``base_url``, ``model`` and
     ``chat`` in its header, and only loads under the same four.
+    ``RemoteBackend`` reads the connection fields from these settings.
     """
 
     kind: Literal["scripted", "openai"] = "scripted"
@@ -95,6 +100,13 @@ class BackendSettings:
     cache_path: str | None = None
     scripted_rules: tuple[ScriptRule, ...] = DEFAULT_SCRIPTED_RULES
     scripted_default_response: str = DEFAULT_SCRIPTED_RESPONSE
+
+    def __post_init__(self) -> None:
+        if self.timeout_s <= 0:
+            raise DomainError(f"timeout_s must be > 0, got {self.timeout_s}")
+        check_minimums(self, max_attempts=1, max_inflight=1)
+        if self.cache_mode in ("record", "replay") and not self.cache_path:
+            raise DomainError(f"cache_path: required for cache_mode {self.cache_mode!r}")
 
 
 class SweepAxis(str, Enum):
@@ -121,6 +133,9 @@ class ExperimentConfig:
     output_dir: str = "runs"
     max_gateway_calls: int | None = None
     parallel_trials: int = 1
+
+    def __post_init__(self) -> None:
+        check_minimums(self, trials=1, parallel_trials=1, max_gateway_calls=0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +237,8 @@ def field_type(dotted: str) -> tuple[Any, Any]:
 def _parse_section(cls: type, data: Any, path: str) -> Any:
     """``data`` as a ``cls``: only fields without a default are required,
     each value is checked against its annotation, and an unknown field or a
-    :class:`DomainError` from ``cls`` is a :class:`ConfigError` at ``path``."""
+    :class:`DomainError` from ``cls`` is a :class:`ConfigError` at ``path``,
+    or at the path of the field that the error's first word names."""
     where = path or "config"
     if data is None:
         data = {}
@@ -241,27 +257,8 @@ def _parse_section(cls: type, data: Any, path: str) -> Any:
     try:
         return cls(**kwargs)
     except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-# Lower bounds that no config class checks: (dotted path, minimum).
-_MINIMUMS = (("backend.max_inflight", 1), ("trials", 1), ("parallel_trials", 1), ("max_gateway_calls", 0))
-
-
-def _check_preset(run: RunConfig, data: Mapping) -> None:
-    """A preset forces its patience and temperature; refuse an explicit
-    other value rather than let the preset overwrite it."""
-    given = (data or {}).get("run") or {}
-    temperature = (given.get("generation") or {}).get("temperature")
-    for path, value, used in (
-        ("run.patience", given.get("patience"), run.patience),
-        ("run.generation.temperature", temperature, run.generation.temperature),
-    ):
-        if value is not None and value != used:
-            raise ConfigError(
-                f"{path}: preset {run.hypothesis_preset.value} sets {used}, got {value}; "
-                "choose it under run.hypothesis_preset: custom"
-            )
+        head = re.match(r"\w*", str(exc)).group()
+        raise ConfigError(f"{prefix}{exc}" if head in fields else f"{where}: {exc}") from exc
 
 
 def axis_run(run: RunConfig, axis: SweepAxis, value: float) -> RunConfig:
@@ -291,11 +288,6 @@ def _check_sweep(sweep: SweepSettings, run: RunConfig) -> None:
             "sweep.axis: alpha sweeps need run.use_momentum: true and a mode other than "
             "concat_baseline (only the momentum update reads alpha)"
         )
-    if axis is SweepAxis.TEMPERATURE and run.hypothesis_preset is not HypothesisPreset.CUSTOM:
-        raise ConfigError(
-            "sweep.axis: temperature sweeps need run.hypothesis_preset: custom "
-            "(presets force the temperature)"
-        )
     for i, value in enumerate(sweep.values):
         try:
             axis_run(run, axis, value)
@@ -305,16 +297,9 @@ def _check_sweep(sweep: SweepSettings, run: RunConfig) -> None:
 
 def parse_config_data(data: Any) -> ExperimentConfig:
     """Validate a parsed config mapping against the config classes (every
-    field optional, strict on unknown fields), then check the rules that
-    span fields."""
+    field optional, strict on unknown fields), then check the sweep rules,
+    which read both the ``sweep`` and the ``run`` section."""
     config = _parse_section(ExperimentConfig, data, "")
-    _check_preset(config.run, data)
-    if config.backend.cache_mode in ("record", "replay") and not config.backend.cache_path:
-        raise ConfigError(f"backend.cache_path: required for cache_mode {config.backend.cache_mode!r}")
-    for dotted, low in _MINIMUMS:
-        value = functools.reduce(getattr, dotted.split("."), config)
-        if value is not None and value < low:
-            raise ConfigError(f"{dotted}: must be >= {low}, got {value}")
     if config.sweep is not None:
         _check_sweep(config.sweep, config.run)
     return config

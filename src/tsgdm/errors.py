@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the lower-bound check
+the config classes raise them from."""
 
 
 class TsgdmError(Exception):
@@ -7,6 +8,15 @@ class TsgdmError(Exception):
 
 class DomainError(TsgdmError, ValueError):
     """A numeric argument is outside its allowed range."""
+
+
+def check_minimums(config: object, **minimums: float) -> None:
+    """Raise :class:`DomainError` for the first named field of ``config``
+    below its minimum. A None field is unset and passes."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if value is not None and value < low:
+            raise DomainError(f"{name} must be >= {low}, got {value}")
 
 
 class NetworkError(TsgdmError):

@@ -21,7 +21,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, TypeVar
 
 import requests
 from requests.adapters import HTTPAdapter
@@ -34,6 +34,9 @@ from .errors import (
     NetworkError,
     ProtocolError,
 )
+
+if TYPE_CHECKING:
+    from .config import BackendSettings
 
 
 class FinishReason(str, Enum):
@@ -65,7 +68,7 @@ class CompletionRequest:
     def __post_init__(self) -> None:
         if self.max_new_tokens < 1:
             raise DomainError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        if self.temperature < 0.0:
+        if self.temperature is None or self.temperature < 0.0:
             raise DomainError(f"temperature must be >= 0, got {self.temperature}")
         object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
 
@@ -376,41 +379,6 @@ class ScriptedBackend:
 # remote backend
 
 
-@dataclass
-class RemoteConfig:
-    """Connection settings for an OpenAI-compatible endpoint.
-
-    ``chat=True`` speaks the chat-completions shape, otherwise the plain
-    completions shape. The API key is read from the environment variable
-    named by ``api_key_env`` at call time, never stored.
-
-    Retry ``n`` waits ``backoff_base_s * 2**(n-1)``, stretched by a random
-    share of up to half of itself so that concurrent callers do not retry
-    in lockstep, and never less than a 429/503 response's
-    ``Retry-After`` seconds. ``max_inflight`` is how many calls may share
-    the backend at once; the connection pool keeps at least that many
-    connections.
-    """
-
-    base_url: str
-    model: str
-    api_key_env: str = "OPENAI_API_KEY"
-    timeout_s: float = 60.0
-    chat: bool = True
-    max_attempts: int = 4
-    backoff_base_s: float = 0.5
-    max_inflight: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise DomainError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.timeout_s <= 0 or self.backoff_base_s < 0:
-            raise DomainError("timeout_s must be > 0 and backoff_base_s >= 0")
-        if self.max_inflight < 1:
-            raise DomainError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        self.base_url = self.base_url.rstrip("/")
-
-
 _FINISH_ALIASES = {
     "length": FinishReason.LENGTH,
     "max_tokens": FinishReason.LENGTH,
@@ -440,51 +408,63 @@ def _retry_after_s(response) -> float:
 
 
 class RemoteBackend:
-    """HTTP backend with bounded retries.
+    """HTTP backend for an OpenAI-compatible endpoint, with bounded retries.
+
+    It reads ``base_url``, ``model``, ``api_key_env``, ``timeout_s``,
+    ``chat``, ``max_attempts`` and ``max_inflight`` from its settings.
+    ``chat=True`` speaks the chat-completions shape, otherwise the plain
+    completions shape. The API key is read from the environment variable
+    named by ``api_key_env`` at call time, never stored. The connection
+    pool keeps at least ``max_inflight`` connections.
 
     Transient failures (HTTP 429/5xx, timeouts, dropped connections) are
-    retried with jittered exponential backoff up to ``max_attempts`` total
-    attempts; 401/403 raise :class:`AuthError` immediately, other client
-    errors and unparseable bodies raise :class:`ProtocolError`. ``rand``
-    draws the jitter share in [0, 1).
+    retried up to ``max_attempts`` total attempts; 401/403 raise
+    :class:`AuthError` immediately, other client errors and unparseable
+    bodies raise :class:`ProtocolError`. Retry ``n`` waits
+    ``backoff_base_s * 2**(n-1)``, stretched by a random share of up to half
+    of itself so that concurrent callers do not retry in lockstep, and never
+    less than a 429/503 response's ``Retry-After`` seconds. ``rand`` draws
+    the jitter share in [0, 1).
     """
 
     def __init__(
         self,
-        config: RemoteConfig,
+        settings: BackendSettings,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rand: Callable[[], float] = random.random,
+        backoff_base_s: float = 0.5,
     ) -> None:
-        self.config = config
+        if backoff_base_s < 0:
+            raise DomainError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
+        self.settings = settings
         if session is None:
             session = requests.Session()
-            size = max(_DEFAULT_POOL_SIZE, config.max_inflight)
+            size = max(_DEFAULT_POOL_SIZE, settings.max_inflight)
             adapter = HTTPAdapter(pool_connections=size, pool_maxsize=size)
             session.mount("https://", adapter)
             session.mount("http://", adapter)
         self._session = session
         self._sleep = sleep
         self._rand = rand
+        self._backoff_base_s = backoff_base_s
+        path = "/chat/completions" if settings.chat else "/completions"
+        self._url = settings.base_url.rstrip("/") + path
 
     def _backoff_s(self, attempt: int, retry_after_s: float) -> float:
-        delay = self.config.backoff_base_s * 2 ** (attempt - 1)
+        delay = self._backoff_base_s * 2 ** (attempt - 1)
         delay *= 1.0 + _BACKOFF_JITTER * self._rand()
         return max(delay, retry_after_s)
 
-    def _endpoint(self) -> str:
-        path = "/chat/completions" if self.config.chat else "/completions"
-        return self.config.base_url + path
-
     def _payload(self, request: CompletionRequest) -> dict:
         body: dict = {
-            "model": self.config.model,
+            "model": self.settings.model,
             "max_tokens": request.max_new_tokens,
             "temperature": request.temperature,
         }
         if request.stop_sequences:
             body["stop"] = list(request.stop_sequences)
-        if self.config.chat:
+        if self.settings.chat:
             body["messages"] = [{"role": "user", "content": request.prompt_text}]
         else:
             body["prompt"] = request.prompt_text
@@ -494,7 +474,7 @@ class RemoteBackend:
         try:
             assert isinstance(data, Mapping)
             choice = data["choices"][0]
-            if self.config.chat:
+            if self.settings.chat:
                 text = choice["message"]["content"]
             else:
                 text = choice["text"]
@@ -521,21 +501,21 @@ class RemoteBackend:
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.config.api_key_env, "")
+        api_key = os.environ.get(self.settings.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         last_error: Exception | None = None
         retry_after_s = 0.0
-        for attempt in range(self.config.max_attempts):
+        for attempt in range(self.settings.max_attempts):
             if attempt:
                 self._sleep(self._backoff_s(attempt, retry_after_s))
             retry_after_s = 0.0
             try:
                 response = self._session.post(
-                    self._endpoint(),
+                    self._url,
                     json=self._payload(request),
                     headers=headers,
-                    timeout=self.config.timeout_s,
+                    timeout=self.settings.timeout_s,
                 )
             except requests.RequestException as exc:
                 last_error = exc
@@ -556,7 +536,7 @@ class RemoteBackend:
                 raise ProtocolError(f"response body is not valid JSON: {exc}") from exc
             return self._parse(data)
         raise NetworkError(
-            f"gave up after {self.config.max_attempts} attempts: {last_error}"
+            f"gave up after {self.settings.max_attempts} attempts: {last_error}"
         )
 
 

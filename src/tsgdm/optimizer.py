@@ -26,11 +26,7 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from . import templates
-from .errors import (
-    DomainError,
-    EmptyBatchError,
-    EmptyHistoryError,
-)
+from .errors import DomainError, EmptyBatchError, EmptyHistoryError, check_minimums
 from .gateway import (
     SEQUENTIAL,
     Backend,
@@ -179,12 +175,14 @@ _DEFAULT_REFINE = {
 
 @dataclass
 class GenerationParams:
-    """Knobs of one candidate-generation pass."""
+    """Knobs of one candidate-generation pass. ``temperature`` left as None
+    is filled by the :class:`RunConfig` that holds these params; until then
+    a request built from them is refused."""
 
     alpha: float = 0.6
     max_total_tokens: int = 100
     block_tokens: int = 10
-    temperature: float = 0.7
+    temperature: float | None = None
     candidates: int = 20
     mode: GenerationMode = GenerationMode.CASE1_META_PROMPT
     refine_template: str | None = None
@@ -194,16 +192,11 @@ class GenerationParams:
         self.mode = GenerationMode(self.mode)
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.max_total_tokens < 1:
-            raise DomainError(f"max_total_tokens must be >= 1, got {self.max_total_tokens}")
+        check_minimums(self, max_total_tokens=1, temperature=0, candidates=1)
         if self.block_tokens < 1 or self.block_tokens > self.max_total_tokens:
             raise DomainError(
                 f"block_tokens must be in [1, max_total_tokens], got {self.block_tokens}"
             )
-        if self.temperature < 0.0:
-            raise DomainError(f"temperature must be >= 0, got {self.temperature}")
-        if self.candidates < 1:
-            raise DomainError(f"candidates must be >= 1, got {self.candidates}")
         if self.refine_template is None:
             self.refine_template = _DEFAULT_REFINE[self.mode]
         if self.analyze_template is None and self.mode is GenerationMode.CASE2_GRADIENT:
@@ -233,15 +226,17 @@ class HypothesisPreset(str, Enum):
 class RunConfig:
     """Hyperparameters of one optimization run.
 
-    Presets pin the two standard operating points: H0 forces temperature 0.7
-    with patience 2, H1 forces temperature 1.1 with patience 5; custom leaves
-    everything as given.
+    Presets pin the two standard operating points: H0 is temperature 0.7
+    with patience 2, H1 temperature 1.1 with patience 5. A preset fills
+    ``patience`` and ``generation.temperature`` when they are None and
+    refuses any other value; custom fills them with 2 and 0.7 and takes
+    any value given.
     """
 
     total_iterations: int = 20
     batch_size: int = 20
     train_size: int = 400
-    patience: int = 2
+    patience: int | None = None
     hypothesis_preset: HypothesisPreset = HypothesisPreset.H0
     seed: int = 0
     generation: GenerationParams = field(default_factory=GenerationParams)
@@ -249,23 +244,26 @@ class RunConfig:
     sample_with_replacement: bool = False
 
     def __post_init__(self) -> None:
-        self.hypothesis_preset = HypothesisPreset(self.hypothesis_preset)
-        if self.total_iterations < 0:
-            raise DomainError(f"total_iterations must be >= 0, got {self.total_iterations}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.train_size < 1:
-            raise DomainError(f"train_size must be >= 1, got {self.train_size}")
-        if self.patience < 1:
-            raise DomainError(f"patience must be >= 1, got {self.patience}")
-        # A preset sets its temperature on a copy: the caller's
-        # GenerationParams may be shared with other configs.
-        if self.hypothesis_preset is HypothesisPreset.H0:
-            self.generation = dataclasses.replace(self.generation, temperature=0.7)
-            self.patience = 2
-        elif self.hypothesis_preset is HypothesisPreset.H1:
-            self.generation = dataclasses.replace(self.generation, temperature=1.1)
-            self.patience = 5
+        preset = self.hypothesis_preset = HypothesisPreset(self.hypothesis_preset)
+        # (patience, temperature): H1's, else H0's, which custom fills in too.
+        patience, temperature = (5, 1.1) if preset is HypothesisPreset.H1 else (2, 0.7)
+        if self.patience is None:
+            self.patience = patience
+        # The temperature is filled on a copy: the caller's GenerationParams
+        # may be shared with other configs.
+        if self.generation.temperature is None:
+            self.generation = dataclasses.replace(self.generation, temperature=temperature)
+        if preset is not HypothesisPreset.CUSTOM:
+            for name, value, point in (
+                ("patience", self.patience, patience),
+                ("generation.temperature", self.generation.temperature, temperature),
+            ):
+                if value != point:
+                    raise DomainError(
+                        f"{name}: preset {preset.value} sets {point}, got {value}; "
+                        "choose it under hypothesis_preset: custom"
+                    )
+        check_minimums(self, total_iterations=0, batch_size=1, train_size=1, patience=1)
 
 
 class StopReason(str, Enum):

@@ -21,7 +21,6 @@ from tsgdm import (
     OptimizerHistory,
     PromptRecord,
     RemoteBackend,
-    RemoteConfig,
     ReplayCache,
     RunConfig,
     ScriptRule,
@@ -39,6 +38,7 @@ from tsgdm import (
     synthetic_binding,
     variance_report,
 )
+from tsgdm.cli import BackendSettings
 from tsgdm.rng import STREAM_VARIANCE
 from tsgdm.templates import CONCAT_HISTORY_PROMPT
 from conftest import HoldoutHits, make_marker_backend
@@ -318,7 +318,7 @@ def test_criterion_8_live_smoke_records_and_replays(tmp_path):
         ),
     )
     remote = RemoteBackend(
-        RemoteConfig(base_url=LIVE_BASE_URL, model=LIVE_MODEL, api_key_env=LIVE_KEY_ENV)
+        BackendSettings(kind="openai", base_url=LIVE_BASE_URL, model=LIVE_MODEL, api_key_env=LIVE_KEY_ENV)
     )
     cache = ReplayCache(mode=CacheMode.RECORD)
     recorded = run_tsgd(config, task, CachingBackend(cache, remote), max_lm_calls=400)

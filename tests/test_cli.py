@@ -14,12 +14,14 @@ import pytest
 import tsgdm.cli as cli
 from tsgdm import (
     ConfigError,
+    DomainError,
     HypothesisPreset,
     ReplayCache,
     ScriptedBackend,
     UnknownFieldError,
 )
 from tsgdm.cli import (
+    BackendSettings,
     ExperimentConfig,
     build_cache,
     build_task,
@@ -144,6 +146,27 @@ class TestParseConfig:
             parse_config("max_gateway_calls: -1\n")
 
 
+# A config class refuses a value out of its range when built in Python too,
+# not only when parsed: (build, the refusal it raises).
+REFUSALS = [
+    (lambda: ExperimentConfig(trials=0), "trials must be >= 1, got 0"),
+    (lambda: ExperimentConfig(parallel_trials=0), "parallel_trials must be >= 1, got 0"),
+    (lambda: ExperimentConfig(max_gateway_calls=-1), "max_gateway_calls must be >= 0, got -1"),
+    (lambda: BackendSettings(max_inflight=0), "max_inflight must be >= 1, got 0"),
+    (lambda: BackendSettings(max_attempts=0), "max_attempts must be >= 1, got 0"),
+    (lambda: BackendSettings(timeout_s=0.0), "timeout_s must be > 0, got 0.0"),
+    (lambda: BackendSettings(cache_mode="record"), "cache_path: required for cache_mode 'record'"),
+    (lambda: BackendSettings(cache_mode="replay"), "cache_path: required for cache_mode 'replay'"),
+]
+
+
+@pytest.mark.parametrize("build, refusal", REFUSALS, ids=[refusal for _, refusal in REFUSALS])
+def test_a_config_class_refuses_without_the_parser(build, refusal):
+    with pytest.raises(DomainError) as excinfo:
+        build()
+    assert str(excinfo.value) == refusal
+
+
 class TestParseBackend:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="backend.kind"):
@@ -172,6 +195,11 @@ class TestParseBackend:
         assert rule.exact is False
         assert rule.finish_reason.value == "length"
         assert config.backend.scripted_default_response == " nothing"
+
+    @pytest.mark.parametrize("name, value", [("max_attempts", 0), ("timeout_s", -1)])
+    def test_remote_limits_are_refused_at_parse_time(self, name, value):
+        with pytest.raises(ConfigError, match=f"backend.{name} must be"):
+            parse_config_data({"backend": {"kind": "openai", name: value}})
 
     def test_max_inflight(self):
         assert parse_config("").backend.max_inflight == 24

@@ -1,6 +1,6 @@
 """The public surface: ``from tsgdm import *`` works, ``__all__`` names
-each export once, the names the one update rule and the one scoring path
-replaced stay gone, and README's code runs."""
+each export once, the names the one update rule, the one scoring path and
+the one backend settings class replaced stay gone, and README's code runs."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tsgdm
+import tsgdm.gateway
 import tsgdm.optimizer
 import tsgdm.task
 
@@ -30,6 +31,7 @@ REMOVED = {
         "ScoreFn",
     ),
     tsgdm.task: ("binding_from_preset", "score_prompts"),
+    tsgdm.gateway: ("RemoteConfig",),
 }
 
 

@@ -21,11 +21,11 @@ from tsgdm import (
     NetworkError,
     ProtocolError,
     RemoteBackend,
-    RemoteConfig,
     ReplayCache,
     ScriptRule,
     ScriptedBackend,
 )
+from tsgdm.cli import BackendSettings
 
 REQ = CompletionRequest(prompt_text="hello", max_new_tokens=8, temperature=0.0)
 
@@ -275,16 +275,16 @@ def chat_body(text, finish="stop"):
 
 
 def make_remote(outcomes, chat=True, max_attempts=4, rand=lambda: 0.0):
-    config = RemoteConfig(
+    settings = BackendSettings(
+        kind="openai",
         base_url="https://fake.example/v1",
         model="fake-model",
         chat=chat,
         max_attempts=max_attempts,
-        backoff_base_s=0.5,
     )
     session = FakeSession(outcomes)
     sleeps = []
-    backend = RemoteBackend(config, session=session, sleep=sleeps.append, rand=rand)
+    backend = RemoteBackend(settings, session=session, sleep=sleeps.append, rand=rand, backoff_base_s=0.5)
     return backend, session, sleeps
 
 
@@ -355,10 +355,18 @@ class TestRemoteBackend:
 
     def test_connection_pool_holds_max_inflight(self):
         url = "https://fake.example/v1/chat/completions"
-        wide = RemoteBackend(RemoteConfig(base_url="https://fake.example/v1", model="m", max_inflight=32))
-        narrow = RemoteBackend(RemoteConfig(base_url="https://fake.example/v1", model="m", max_inflight=2))
+        wide = RemoteBackend(BackendSettings(kind="openai", base_url="https://fake.example/v1", model="m", max_inflight=32))
+        narrow = RemoteBackend(BackendSettings(kind="openai", base_url="https://fake.example/v1", model="m", max_inflight=2))
         assert wide._session.get_adapter(url).poolmanager.connection_pool_kw["maxsize"] == 32
         assert narrow._session.get_adapter(url).poolmanager.connection_pool_kw["maxsize"] == 10
+
+    def test_a_trailing_slash_leaves_the_url_but_not_the_settings(self):
+        # A record file's header holds base_url as configured.
+        settings = BackendSettings(kind="openai", base_url="https://fake.example/v1/", model="m")
+        session = FakeSession([FakeResponse(200, chat_body("ok"))])
+        assert RemoteBackend(settings, session=session).complete(REQ).text == "ok"
+        assert session.requests[0]["url"] == "https://fake.example/v1/chat/completions"
+        assert settings.base_url == "https://fake.example/v1/"
 
     def test_retries_timeouts(self):
         backend, session, _ = make_remote(

@@ -55,6 +55,10 @@ class TestGenerationParams:
         with pytest.raises(DomainError):
             case1(candidates=0)
 
+    def test_an_unset_temperature_is_refused_at_the_first_request(self):
+        with pytest.raises(DomainError, match="temperature must be >= 0, got None"):
+            generate_candidate(["base"], case1(temperature=None), ScriptedBackend(), "refine")
+
     def test_mode_string_coerced(self):
         gen = case1(mode="case2_gradient")
         assert gen.mode is GenerationMode.CASE2_GRADIENT

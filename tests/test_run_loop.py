@@ -3,6 +3,7 @@ failure handling."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -67,13 +68,14 @@ def small_config(**kwargs):
 
 class TestPresets:
     def test_h0_forces_temperature_and_patience(self):
-        config = RunConfig(
-            patience=9,
-            hypothesis_preset="H0",
-            generation=GenerationParams(temperature=1.5),
-        )
-        assert config.generation.temperature == 0.7
-        assert config.patience == 2
+        # H0, the default, refuses another value rather than overwrite it.
+        for given in ({}, {"hypothesis_preset": "H0"}):
+            with pytest.raises(DomainError, match="patience: preset H0 sets 2, got 9"):
+                RunConfig(patience=9, **given)
+            with pytest.raises(DomainError, match="generation.temperature: preset H0 sets 0.7, got 1.5"):
+                RunConfig(generation=GenerationParams(temperature=1.5), **given)
+            config = RunConfig(patience=2, generation=GenerationParams(temperature=0.7), **given)
+            assert (config.patience, config.generation.temperature) == (2, 0.7)
 
     def test_h1_forces_temperature_and_patience(self):
         config = RunConfig(hypothesis_preset=HypothesisPreset.H1)
@@ -82,9 +84,28 @@ class TestPresets:
 
     def test_preset_leaves_the_callers_generation_params_alone(self):
         gen = GenerationParams(temperature=1.5)
-        config = RunConfig(hypothesis_preset="H0", generation=gen)
-        assert config.generation.temperature == 0.7
+        with pytest.raises(DomainError, match="preset H1"):
+            RunConfig(hypothesis_preset="H1", generation=gen)
         assert gen.temperature == 1.5
+        unset = GenerationParams()
+        config = RunConfig(hypothesis_preset="H1", generation=unset)
+        assert config.generation.temperature == 1.1
+        assert unset.temperature is None
+
+    def test_custom_fills_what_is_left_unset(self):
+        gen = GenerationParams(alpha=0.3)
+        config = RunConfig(hypothesis_preset="custom", generation=gen)
+        assert (config.patience, config.generation.temperature) == (2, 0.7)
+        assert gen.temperature is None
+        assert RunConfig(hypothesis_preset="custom", patience=9).patience == 9
+
+    @pytest.mark.parametrize("preset", ["H0", "H1", "custom"])
+    def test_rebuilding_a_resolved_config_copies_nothing(self, preset):
+        # The CLI and sweeps rebuild each trial's config with replace.
+        config = RunConfig(hypothesis_preset=preset)
+        rebuilt = dataclasses.replace(config, seed=4)
+        assert rebuilt.generation is config.generation
+        assert (rebuilt.patience, rebuilt.generation.temperature) == (config.patience, config.generation.temperature)
 
     def test_custom_forces_nothing(self):
         config = RunConfig(

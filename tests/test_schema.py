@@ -59,7 +59,7 @@ FIELDS = {
     "run.patience": (3, 3, "x", CUSTOM),
     "run.hypothesis_preset": ("H1", HypothesisPreset.H1, 3, {}),
     "run.seed": (7, 7, True, {}),
-    "run.generation": ({"alpha": 0.3}, GenerationParams(alpha=0.3), 3, {}),
+    "run.generation": ({"alpha": 0.3}, GenerationParams(alpha=0.3, temperature=0.7), 3, {}),
     "run.use_momentum": (False, False, 1, {}),
     "run.sample_with_replacement": (True, True, "yes", {}),
     "run.generation.alpha": (0.25, 0.25, "x", {}),
