@@ -463,16 +463,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             rows = run_sweep(config)
             incomplete = sum(1 for row in rows if row["completed"] != row["trials"])
             return 0 if incomplete == 0 else 1
-        grid = {}
-        for name, item in (("alphas", float), ("horizons", int)):
-            grid[name] = _split(getattr(args, name), name, item)
-            if not grid[name]:
-                raise ConfigError(f"{name}: expected a nonempty comma-separated list")
-        if args.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {args.trials}")
-        cells = variance_report(
-            grid["alphas"], grid["horizons"], args.sigma, args.trials, substream(args.seed, STREAM_VARIANCE)
-        )
+        alphas = _split(args.alphas, "alphas", float)
+        horizons = _split(args.horizons, "horizons", int)
+        cells = variance_report(alphas, horizons, args.sigma, args.trials, substream(args.seed, STREAM_VARIANCE))
         table_path, summary_path = write_report(cells, args.output_dir)
         flagged = sum(1 for cell in cells if cell.flagged)
         print(f"{len(cells)} cells, {flagged} flagged; wrote {table_path} and {summary_path}")

@@ -331,8 +331,8 @@ class ScriptedBackend:
     """Deterministic offline backend.
 
     The first matching rule wins; with no match the backend answers
-    ``default_response``. Every request is appended to ``call_log`` so tests
-    can assert full call sequences. Safe to share across threads.
+    ``default_response``. The rules are only read, so the backend is safe
+    to share across threads.
     """
 
     # Answers from memory: threads would only contend for the interpreter.
@@ -347,12 +347,8 @@ class ScriptedBackend:
         self.rules = list(rules)
         self.default_response = default_response
         self.default_finish_reason = FinishReason(default_finish_reason)
-        self.call_log: list[CompletionRequest] = []
-        self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        with self._lock:
-            self.call_log.append(request)
         text = self.default_response
         reason = self.default_finish_reason
         for rule in self.rules:

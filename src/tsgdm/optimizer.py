@@ -1,9 +1,9 @@
 """Momentum-based textual prompt optimization.
 
-The optimizer keeps every past instruction in an append-only history and
-writes each new candidate block by block. The three update rules differ
-only in which conditioning text each block sees. Before its first call, a
-candidate fixes its draw plan: the source record of each of its B =
+The optimizer keeps one record per round, oldest first, and writes each
+new candidate block by block. The three update rules differ only in which
+conditioning text each block sees. Before its first call, a candidate
+fixes its draw plan: the source record of each of its B =
 ceil(max_total_tokens / block_tokens) blocks.
 
 - Momentum draws the plan from the history mixture, whose weights decay
@@ -23,7 +23,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import templates
 from .errors import DomainError, EmptyBatchError, EmptyHistoryError, check_minimums
@@ -49,86 +49,24 @@ Triple = tuple[str, str, str]
 
 @dataclass(frozen=True)
 class PromptRecord:
-    """One optimization step: the instruction, its holdout score, and in
-    gradient mode its batch evidence and the error analysis written on it."""
+    """One optimization step: the instruction, and in gradient mode its
+    batch evidence and the error analysis written on it."""
 
     iteration: int
     prompt_text: str
     gradient_text: str | None = None
     batch_triples: tuple[Triple, ...] = ()
-    holdout_score: float = 0.0
 
     def __post_init__(self) -> None:
         if self.iteration < 0:
             raise DomainError(f"iteration must be >= 0, got {self.iteration}")
-        if not 0.0 <= self.holdout_score <= 1.0:
-            raise DomainError(f"holdout_score must be in [0, 1], got {self.holdout_score}")
         object.__setattr__(
             self, "batch_triples", tuple(tuple(triple) for triple in self.batch_triples)
         )
 
 
-class OptimizerHistory:
-    """Append-only sequence of records with gap-free iteration numbers 0..t."""
-
-    def __init__(self, records: Iterable[PromptRecord] = ()) -> None:
-        self._records: list[PromptRecord] = []
-        for record in records:
-            self.append(record)
-
-    def append(self, record: PromptRecord) -> None:
-        if record.iteration != len(self._records):
-            raise DomainError(
-                f"expected next iteration {len(self._records)}, got {record.iteration}"
-            )
-        self._records.append(record)
-
-    @property
-    def records(self) -> tuple[PromptRecord, ...]:
-        return tuple(self._records)
-
-    def last(self) -> PromptRecord:
-        if not self._records:
-            raise EmptyHistoryError("history is empty")
-        return self._records[-1]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __getitem__(self, index: int) -> PromptRecord:
-        return self._records[index]
-
-    def __iter__(self):
-        return iter(self._records)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Normalized mixture weights over history records, oldest first."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not self.weights:
-            raise DomainError("weight vector must be nonempty")
-        if any(w < 0.0 for w in self.weights):
-            raise DomainError("weights must be nonnegative")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
-            raise DomainError(f"weights must sum to 1, got {math.fsum(self.weights)!r}")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __getitem__(self, index: int) -> float:
-        return self.weights[index]
-
-    def __iter__(self):
-        return iter(self.weights)
-
-
-def momentum_weights(alpha: float, t: int) -> WeightVector:
-    """Mixture weights over records 0..t.
+def momentum_weights(alpha: float, t: int) -> tuple[float, ...]:
+    """Mixture weights over records 0..t, oldest first, summing to 1.
 
     Record tau gets weight proportional to alpha**(t - tau): alpha=1 is
     uniform, alpha=0 puts all mass on the newest record (0**0 == 1), and
@@ -141,10 +79,10 @@ def momentum_weights(alpha: float, t: int) -> WeightVector:
         raise DomainError(f"t must be >= 0, got {t}")
     raw = [float(alpha) ** (t - tau) for tau in range(t + 1)]
     total = math.fsum(raw)
-    return WeightVector(tuple(w / total for w in raw))
+    return tuple(w / total for w in raw)
 
 
-def sample_source(weights: WeightVector, rng: RandomStream) -> int:
+def sample_source(weights: Sequence[float], rng: RandomStream) -> int:
     """Draw one record index with the given probabilities (inverse CDF on a
     single uniform, so exactly one draw is consumed per call)."""
     u = float(rng.random())
@@ -337,7 +275,7 @@ class RunResult:
 # candidate generation
 
 
-def draw_plan(weights: WeightVector, blocks: int, rng: RandomStream) -> tuple[int, ...]:
+def draw_plan(weights: Sequence[float], blocks: int, rng: RandomStream) -> tuple[int, ...]:
     """The source record of each of a candidate's ``blocks`` blocks:
     ``blocks`` successive :func:`sample_source` draws on ``rng``."""
     return tuple(sample_source(weights, rng) for _ in range(blocks))
@@ -563,7 +501,7 @@ def run_tsgd(
     gen = config.generation
     score = task.score_function(counter, pool=pool)
     train = task.train[: config.train_size]
-    history = OptimizerHistory()
+    history: list[PromptRecord] = []
     rows: list[IterationRow] = []
 
     def snapshot(iteration: int, prompt: str, value: float, scores: Sequence[float], index: int) -> None:
@@ -588,7 +526,7 @@ def run_tsgd(
         stop_reason = StopReason.MAX_ITERATIONS
         stale = 0
         for t in range(config.total_iterations):
-            record = PromptRecord(iteration=t, prompt_text=current_prompt, holdout_score=rows[-1].holdout_score)
+            record = PromptRecord(iteration=t, prompt_text=current_prompt)
             pick = _Candidates(gen.candidates, score, t)
 
             def generations(newest: PromptRecord) -> list[Task]:

@@ -1,7 +1,10 @@
-"""Shared test helpers: scripted backends, scripted holdout scores, and
-one-trial CLI runs of each update rule."""
+"""Shared test helpers: scripted backends, a recorder of the requests a
+backend is sent, scripted holdout scores, and one-trial CLI runs of each
+update rule."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -22,6 +25,21 @@ def make_marker_backend(extra_rules=()) -> ScriptedBackend:
         ScriptRule("Improved version:", "Copy the marker word: blue or red."),
     ]
     return ScriptedBackend(rules=rules, default_response=" blue")
+
+
+class Recorder:
+    """Backend wrapper that appends each request to ``requests``, in the
+    order the calls arrive, then asks ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests: list[CompletionRequest] = []
+        self._lock = threading.Lock()
+
+    def complete(self, request: CompletionRequest) -> CompletionResult:
+        with self._lock:
+            self.requests.append(request)
+        return self.inner.complete(request)
 
 
 class HoldoutHits:

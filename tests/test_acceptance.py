@@ -18,14 +18,12 @@ from tsgdm import (
     FORWARD_TEMPLATE,
     FinishReason,
     GenerationParams,
-    OptimizerHistory,
     PromptRecord,
     RemoteBackend,
     ReplayCache,
     RunConfig,
     ScriptRule,
     ScriptedBackend,
-    WeightVector,
     concat_momentum_prompt,
     ema_mse_recursive,
     ema_mse_theory,
@@ -41,13 +39,13 @@ from tsgdm import (
 from tsgdm.cli import BackendSettings
 from tsgdm.rng import STREAM_VARIANCE
 from tsgdm.templates import CONCAT_HISTORY_PROMPT
-from conftest import HoldoutHits, make_marker_backend
+from conftest import HoldoutHits, Recorder, make_marker_backend
 
 GRID_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 GRID_HORIZONS = (1, 2, 5, 10, 20, 50)
 
 
-def serialize_log(backend: ScriptedBackend) -> str:
+def serialize_log(backend: Recorder) -> str:
     return json.dumps(
         [
             {
@@ -57,7 +55,7 @@ def serialize_log(backend: ScriptedBackend) -> str:
                 "stop_sequences": list(r.stop_sequences),
                 "request_tag": r.request_tag,
             }
-            for r in backend.call_log
+            for r in backend.requests
         ],
         sort_keys=True,
     )
@@ -173,7 +171,7 @@ def test_criterion_4_alpha_zero_reduces_to_vanilla():
                 generation=gen,
                 use_momentum=use_momentum,
             )
-            backend = scenario_backend(s, finish)
+            backend = Recorder(scenario_backend(s, finish))
             result = run_tsgd(config, task, backend)
             results.append(json.dumps(result.to_dict(), sort_keys=True))
             logs.append(serialize_log(backend))
@@ -196,7 +194,7 @@ def test_criterion_5_sampling_follows_weights():
         n = 2 + v % 7
         raw = [float(x) + 1e-3 for x in rng.random(n)]
         total = math.fsum(raw)
-        weights = WeightVector(tuple(w / total for w in raw))
+        weights = tuple(w / total for w in raw)
         sampler = substream(9000 + v, 0)
         counts = [0] * n
         for _ in range(draws):
@@ -282,9 +280,7 @@ def test_criterion_7_rendering_golden_corpus():
     for args, expected in corpus:
         assert render_forward(*args) == expected
 
-    history = OptimizerHistory(
-        [PromptRecord(0, "first instruction"), PromptRecord(1, "second instruction")]
-    )
+    history = (PromptRecord(0, "first instruction"), PromptRecord(1, "second instruction"))
     concat = concat_momentum_prompt(history, CONCAT_HISTORY_PROMPT)
     assert "Here are the past iterations of this variable" in concat
     assert "<PAST_ITERATIONS>\nfirst instruction\nsecond instruction\n</PAST_ITERATIONS>" in concat
@@ -325,13 +321,13 @@ def test_criterion_8_live_smoke_records_and_replays(tmp_path):
     cache_path = tmp_path / "live_cache.jsonl"
     cache.save(cache_path)
 
-    poisoned = ScriptedBackend(rules=[], default_response=" POISON")
+    poisoned = Recorder(ScriptedBackend(rules=[], default_response=" POISON"))
     replay = ReplayCache.load(cache_path, mode=CacheMode.REPLAY)
     replayed = run_tsgd(config, task, CachingBackend(replay, poisoned), max_lm_calls=400)
     assert json.dumps(recorded.to_dict(), sort_keys=True) == json.dumps(
         replayed.to_dict(), sort_keys=True
     )
-    assert poisoned.call_log == []
+    assert poisoned.requests == []
     print(
         f"ACCEPTANCE 8 PASS: live run ({recorded.total_lm_calls} calls) replayed "
         f"byte-identically from {cache_path.name} with zero live calls"

@@ -451,8 +451,11 @@ class TestRunExperiment:
 
     def test_record_cache_is_saved_when_a_trial_raises(self, tmp_path, monkeypatch):
         class Crashing(ScriptedBackend):
+            calls = 0
+
             def complete(self, request):
-                if len(self.call_log) >= 5:
+                self.calls += 1
+                if self.calls > 5:
                     raise RuntimeError("worker crashed")
                 return super().complete(request)
 
@@ -619,8 +622,15 @@ class TestMain:
         summary = read_json(tmp_path / "var" / "variance_summary.json")
         assert summary["cells"] == 4
 
-    def test_variance_rejects_bad_axis_list(self, capsys):
-        assert main(["variance", "--alphas", ",,", "--trials", "10"]) == 2
+    def test_variance_rejects_bad_axis_list(self, tmp_path, capsys):
+        out = tmp_path / "var"
+        for flags, message in (
+            (["--alphas", ",,", "--trials", "10"], "error: alphas and horizons must be nonempty"),
+            (["--trials", "0"], "error: trials must be >= 1, got 0"),
+        ):
+            assert main(["variance", *flags, "--output-dir", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_variance_refuses_a_fractional_horizon(self, tmp_path, capsys):
         out = tmp_path / "var"

@@ -51,7 +51,7 @@ from tsgdm.gateway import (
 )
 from tsgdm.optimizer import run_tsgd
 from tsgdm.task import score_prompt
-from conftest import UPDATE_RULES, run_trial, trial_doc
+from conftest import UPDATE_RULES, Recorder, run_trial, trial_doc
 
 KEY_WORDS = ("copy", "marker", "word", "exactly")
 VOCAB = KEY_WORDS + ("read", "item", "answer", "then", "name", "label", "final", "check")
@@ -289,10 +289,10 @@ def test_budget_holds_under_concurrency_and_the_partial_log_matches():
 
 def test_run_stamps_its_seed_on_sampled_requests_only():
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
-    model = ScriptedBackend(default_response=" blue")
+    model = Recorder(ScriptedBackend(default_response=" blue"))
     run_tsgd(dataclasses.replace(small_run_config(), seed=41), task, model)
-    assert {r.sample_seed for r in model.call_log if r.temperature > 0} == {41}
-    assert {r.sample_seed for r in model.call_log if r.temperature == 0} == {0}
+    assert {r.sample_seed for r in model.requests if r.temperature > 0} == {41}
+    assert {r.sample_seed for r in model.requests if r.temperature == 0} == {0}
 
 
 def test_run_tsgd_result_independent_of_max_inflight():

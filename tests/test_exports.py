@@ -1,9 +1,12 @@
 """The public surface: ``from tsgdm import *`` works, ``__all__`` names
 each export once, the names the one update rule, the one scoring path and
-the one backend settings class replaced stay gone, and README's code runs."""
+the one backend settings class replaced stay gone, so do the history and
+weight wrappers, the record's unread score and the scripted call log, and
+README's code runs."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -29,6 +32,8 @@ REMOVED = {
         "_update",
         "_select_candidate",
         "ScoreFn",
+        "OptimizerHistory",
+        "WeightVector",
     ),
     tsgdm.task: ("binding_from_preset", "score_prompts"),
     tsgdm.gateway: ("RemoteConfig",),
@@ -62,6 +67,14 @@ def test_run_tsgd_takes_no_score_fn_or_rng():
 
 def test_score_function_has_no_many():
     assert not hasattr(tsgdm.ScoreFunction, "many")
+
+
+def test_scripted_backend_keeps_no_call_log():
+    assert not hasattr(tsgdm.ScriptedBackend(), "call_log")
+
+
+def test_prompt_record_has_no_holdout_score():
+    assert "holdout_score" not in {f.name for f in dataclasses.fields(tsgdm.PromptRecord)}
 
 
 def test_readme_python_blocks_run():

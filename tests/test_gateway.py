@@ -27,6 +27,8 @@ from tsgdm import (
 )
 from tsgdm.cli import BackendSettings
 
+from conftest import Recorder
+
 REQ = CompletionRequest(prompt_text="hello", max_new_tokens=8, temperature=0.0)
 
 # sha256 of the hand-written canonical payload for REQ, frozen to pin the
@@ -97,14 +99,6 @@ class TestScriptedBackend:
         assert result.text == "fallback"
         assert result.finish_reason is FinishReason.STOP
 
-    def test_call_log_preserves_order_and_requests(self):
-        backend = ScriptedBackend()
-        a = CompletionRequest("a", 1, 0.0, request_tag="one")
-        b = CompletionRequest("b", 2, 0.5, request_tag="two")
-        backend.complete(a)
-        backend.complete(b)
-        assert backend.call_log == [a, b]
-
     def test_length_finish_spends_whole_budget(self):
         backend = ScriptedBackend(
             rules=[ScriptRule("hello", "tok ", finish_reason=FinishReason.LENGTH)]
@@ -129,25 +123,25 @@ class TestScriptedBackend:
 
 class TestReplayCache:
     def test_record_then_replay_zero_inner_calls(self):
-        inner = ScriptedBackend(default_response="cached text")
+        inner = Recorder(ScriptedBackend(default_response="cached text"))
         cache = ReplayCache(mode=CacheMode.RECORD)
         recorded = CachingBackend(cache, inner).complete(REQ)
-        assert len(inner.call_log) == 1
+        assert len(inner.requests) == 1
 
         replay = ReplayCache(mode=CacheMode.REPLAY, entries=dict(cache.entries))
-        fresh_inner = ScriptedBackend(default_response="should not be used")
+        fresh_inner = Recorder(ScriptedBackend(default_response="should not be used"))
         replayed = CachingBackend(replay, fresh_inner).complete(REQ)
         assert replayed == recorded
-        assert fresh_inner.call_log == []
+        assert fresh_inner.requests == []
 
     def test_record_mode_memoizes_repeat_digests(self):
-        inner = ScriptedBackend(default_response="once")
+        inner = Recorder(ScriptedBackend(default_response="once"))
         cache = ReplayCache(mode=CacheMode.RECORD)
         first = CachingBackend(cache, inner).complete(REQ)
         tagged = CompletionRequest("hello", 8, 0.0, request_tag="different tag")
         second = CachingBackend(cache, inner).complete(tagged)
         assert first == second
-        assert len(inner.call_log) == 1
+        assert len(inner.requests) == 1
         assert len(cache) == 1
 
     def test_replay_miss_raises(self):
@@ -156,11 +150,11 @@ class TestReplayCache:
             CachingBackend(cache, ScriptedBackend()).complete(REQ)
 
     def test_passthrough_stores_nothing(self):
-        inner = ScriptedBackend(default_response="live")
+        inner = Recorder(ScriptedBackend(default_response="live"))
         cache = ReplayCache(mode=CacheMode.PASSTHROUGH)
         CachingBackend(cache, inner).complete(REQ)
         CachingBackend(cache, inner).complete(REQ)
-        assert len(inner.call_log) == 2
+        assert len(inner.requests) == 2
         assert len(cache) == 0
 
     def test_save_load_round_trip_and_stable_bytes(self, tmp_path):
@@ -217,11 +211,11 @@ class TestReplayCache:
             ReplayCache.load(path)
 
     def test_record_keeps_sampled_candidates_apart(self):
-        inner = ScriptedBackend(default_response="sample")
+        inner = Recorder(ScriptedBackend(default_response="sample"))
         cache = ReplayCache(mode=CacheMode.RECORD)
         for j in range(3):
             CachingBackend(cache, inner).complete(CompletionRequest("p", 4, 0.7, request_tag=f"refine/cand{j}"))
-        assert len(inner.call_log) == 3
+        assert len(inner.requests) == 3
         assert len(cache) == 3
 
     def test_save_replaces_the_file_and_leaves_no_temp(self, tmp_path):
@@ -234,11 +228,11 @@ class TestReplayCache:
         assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
     def test_caching_backend_adapter(self):
-        inner = ScriptedBackend(default_response="adapted")
+        inner = Recorder(ScriptedBackend(default_response="adapted"))
         backend = CachingBackend(ReplayCache(mode=CacheMode.RECORD), inner)
         assert backend.complete(REQ).text == "adapted"
         assert backend.complete(REQ).text == "adapted"
-        assert len(inner.call_log) == 1
+        assert len(inner.requests) == 1
 
 
 class FakeResponse:

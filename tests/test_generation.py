@@ -17,7 +17,6 @@ from tsgdm import (
     FinishReason,
     GenerationMode,
     GenerationParams,
-    OptimizerHistory,
     PromptRecord,
     ScriptRule,
     ScriptedBackend,
@@ -30,14 +29,14 @@ from tsgdm import (
 from tsgdm import optimizer
 from tsgdm.optimizer import _maker, draw_plan, generate_candidate
 from tsgdm.rng import STREAM_CANDIDATES
+from conftest import Recorder
 
 
 def history_of(*prompts, gradients=None):
-    history = OptimizerHistory()
-    for i, prompt in enumerate(prompts):
-        gradient = gradients[i] if gradients else None
-        history.append(PromptRecord(iteration=i, prompt_text=prompt, gradient_text=gradient))
-    return history
+    return tuple(
+        PromptRecord(iteration=i, prompt_text=prompt, gradient_text=gradients[i] if gradients else None)
+        for i, prompt in enumerate(prompts)
+    )
 
 
 def case1(**kwargs):
@@ -96,57 +95,49 @@ def blocks_of(text, gen):
 
 class TestBlockLoop:
     def test_three_length_blocks_concatenate(self):
-        backend = ScriptedBackend(
-            rules=[ScriptRule("", "STEP ", finish_reason=FinishReason.LENGTH)]
-        )
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "STEP ", finish_reason=FinishReason.LENGTH)]))
         out = generate_candidate(blocks_of("base", case1()), case1(), backend, "refine")
         assert out == "STEP STEP STEP "
-        assert len(backend.call_log) == 3
-        assert [r.max_new_tokens for r in backend.call_log] == [4, 4, 4]
+        assert len(backend.requests) == 3
+        assert [r.max_new_tokens for r in backend.requests] == [4, 4, 4]
 
     def test_partial_candidate_threaded_as_continuation(self):
-        backend = ScriptedBackend(
-            rules=[ScriptRule("", "STEP ", finish_reason=FinishReason.LENGTH)]
-        )
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "STEP ", finish_reason=FinishReason.LENGTH)]))
         generate_candidate(blocks_of("base", case1()), case1(), backend, "refine")
-        first, second, third = [r.prompt_text for r in backend.call_log]
+        first, second, third = [r.prompt_text for r in backend.requests]
         assert second == first + "STEP "
         assert third == first + "STEP STEP "
 
     def test_last_block_gets_remainder_budget(self):
-        backend = ScriptedBackend(
-            rules=[ScriptRule("", "x ", finish_reason=FinishReason.LENGTH)]
-        )
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "x ", finish_reason=FinishReason.LENGTH)]))
         gen = case1(max_total_tokens=10, block_tokens=4)
         generate_candidate(blocks_of("base", gen), gen, backend, "refine")
-        assert [r.max_new_tokens for r in backend.call_log] == [4, 4, 2]
+        assert [r.max_new_tokens for r in backend.requests] == [4, 4, 2]
 
     def test_stop_finish_ends_generation(self):
-        backend = ScriptedBackend(rules=[ScriptRule("", "A", finish_reason=FinishReason.STOP)])
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "A", finish_reason=FinishReason.STOP)]))
         out = generate_candidate(blocks_of("base", case1()), case1(), backend, "refine")
         assert out == "A"
-        assert len(backend.call_log) == 1
+        assert len(backend.requests) == 1
 
     def test_eos_finish_ends_generation(self):
-        backend = ScriptedBackend(rules=[ScriptRule("", "B", finish_reason=FinishReason.EOS)])
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "B", finish_reason=FinishReason.EOS)]))
         out = generate_candidate(blocks_of("base", case1()), case1(), backend, "refine")
         assert out == "B"
-        assert len(backend.call_log) == 1
+        assert len(backend.requests) == 1
 
     def test_single_block_when_block_equals_budget(self):
-        backend = ScriptedBackend(
-            rules=[ScriptRule("", "full", finish_reason=FinishReason.LENGTH)]
-        )
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "full", finish_reason=FinishReason.LENGTH)]))
         gen = case1(max_total_tokens=8, block_tokens=8)
         generate_candidate(blocks_of("base", gen), gen, backend, "refine")
-        assert len(backend.call_log) == 1
-        assert backend.call_log[0].max_new_tokens == 8
+        assert len(backend.requests) == 1
+        assert backend.requests[0].max_new_tokens == 8
 
     def test_requests_carry_generation_temperature(self):
-        backend = ScriptedBackend()
+        backend = Recorder(ScriptedBackend())
         gen = case1(temperature=1.1)
         generate_candidate(blocks_of("base", gen), gen, backend, "refine")
-        assert backend.call_log[0].temperature == 1.1
+        assert backend.requests[0].temperature == 1.1
 
 
 def vanilla(record, gen, backend):
@@ -161,17 +152,17 @@ def momentum(history, gen, seed, backend, j=0):
 
 class TestVanillaConditioning:
     def test_contains_template_and_prompt_verbatim(self):
-        backend = ScriptedBackend()
+        backend = Recorder(ScriptedBackend())
         vanilla(PromptRecord(0, "MY INSTRUCTION"), case1(), backend)
-        prompt = backend.call_log[0].prompt_text
+        prompt = backend.requests[0].prompt_text
         assert "MY INSTRUCTION" in prompt
         assert "Improved instruction:" in prompt
 
     def test_case2_includes_gradient(self):
-        backend = ScriptedBackend()
+        backend = Recorder(ScriptedBackend())
         record = PromptRecord(0, "base", gradient_text="THE ANALYSIS")
         vanilla(record, case1(mode="case2_gradient"), backend)
-        assert "THE ANALYSIS" in backend.call_log[0].prompt_text
+        assert "THE ANALYSIS" in backend.requests[0].prompt_text
 
     def test_case2_without_gradient_raises(self):
         with pytest.raises(EmptyBatchError):
@@ -181,40 +172,32 @@ class TestVanillaConditioning:
 class TestMomentumGenerate:
     def test_empty_history_raises(self):
         with pytest.raises(EmptyHistoryError):
-            momentum(OptimizerHistory(), case1(), 0, ScriptedBackend())
+            momentum((), case1(), 0, ScriptedBackend())
 
     def test_single_record_conditions_on_it_regardless_of_alpha(self):
         for alpha in (0.0, 0.5, 1.0):
-            backend = ScriptedBackend(
-                rules=[ScriptRule("", "b ", finish_reason=FinishReason.LENGTH)]
-            )
+            backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "b ", finish_reason=FinishReason.LENGTH)]))
             momentum(history_of("ONLY"), case1(alpha=alpha), 3, backend)
-            assert all("ONLY" in r.prompt_text for r in backend.call_log)
+            assert all("ONLY" in r.prompt_text for r in backend.requests)
 
     def test_alpha_zero_matches_vanilla_call_log(self):
         history = history_of("p0", "p1", "p2")
         gen = case1(alpha=0.0)
-        mom_backend = ScriptedBackend(
-            rules=[ScriptRule("", "t ", finish_reason=FinishReason.LENGTH)]
-        )
-        van_backend = ScriptedBackend(
-            rules=[ScriptRule("", "t ", finish_reason=FinishReason.LENGTH)]
-        )
+        mom_backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "t ", finish_reason=FinishReason.LENGTH)]))
+        van_backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "t ", finish_reason=FinishReason.LENGTH)]))
         mom = momentum(history, gen, 11, mom_backend)
         van = vanilla(history[2], gen, van_backend)
         assert mom == van
-        assert mom_backend.call_log == van_backend.call_log
-        assert all("p2" in r.prompt_text for r in mom_backend.call_log)
+        assert mom_backend.requests == van_backend.requests
+        assert all("p2" in r.prompt_text for r in mom_backend.requests)
 
     def test_sources_follow_sampled_indices(self):
         history = history_of("AAA", "BBB", "CCC")
         gen = case1(alpha=1.0)
-        backend = ScriptedBackend(
-            rules=[ScriptRule("", "x ", finish_reason=FinishReason.LENGTH)]
-        )
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "x ", finish_reason=FinishReason.LENGTH)]))
         momentum(history, gen, 5, backend)
         plan = draw_plan(momentum_weights(1.0, 2), 3, substream(5, STREAM_CANDIDATES, 2, 0))
-        got = [r.prompt_text for r in backend.call_log]
+        got = [r.prompt_text for r in backend.requests]
         assert len(got) == len(plan)
         for source, prompt in zip(plan, got):
             assert prompt.startswith(gen.refine_template.format(prompt=history[source].prompt_text))
@@ -222,12 +205,10 @@ class TestMomentumGenerate:
     def test_case2_sampled_record_travels_with_its_own_gradient(self):
         history = history_of("p0", "p1", gradients=["grad zero", "grad one"])
         gen = case1(mode="case2_gradient", alpha=1.0)
-        backend = ScriptedBackend(
-            rules=[ScriptRule("", "x ", finish_reason=FinishReason.LENGTH)]
-        )
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "x ", finish_reason=FinishReason.LENGTH)]))
         for j in range(4):
             momentum(history, gen, 9, backend, j)
-        for request in backend.call_log:
+        for request in backend.requests:
             if "p0" in request.prompt_text:
                 assert "grad zero" in request.prompt_text
                 assert "grad one" not in request.prompt_text
@@ -262,11 +243,11 @@ class TestDrawPlan:
             raise AssertionError(f"substream{args} made over a single record")
 
         monkeypatch.setattr(optimizer, "substream", no_stream)
-        backend = ScriptedBackend(rules=[ScriptRule("", "b ", finish_reason=FinishReason.LENGTH)])
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "b ", finish_reason=FinishReason.LENGTH)]))
         history = history_of("ONLY", gradients=["grad"])
         for j in range(3):
             momentum(history, case1(alpha=0.5, mode=mode), 3, backend, j)
-        assert len(backend.call_log) == 9
+        assert len(backend.requests) == 9
 
 
 def past_block(text):
@@ -288,7 +269,7 @@ class TestConcatPrompt:
 
     def test_errors(self):
         with pytest.raises(EmptyHistoryError):
-            concat_momentum_prompt(OptimizerHistory(), CONCAT_HISTORY_PROMPT)
+            concat_momentum_prompt((), CONCAT_HISTORY_PROMPT)
 
 
 class TestTextualGradient:
@@ -300,11 +281,11 @@ class TestTextualGradient:
         assert out == "Errors: the prompt ignores sarcasm"
 
     def test_rendered_prompt_contains_all_parts(self):
-        backend = ScriptedBackend()
+        backend = Recorder(ScriptedBackend())
         record = PromptRecord(0, "Classify X", batch_triples=(("a", "pos", "neg"),))
         gen = case1(mode="case2_gradient")
         compute_textual_gradient(record, gen.analyze_template, backend, gen)
-        rendered = backend.call_log[0].prompt_text
+        rendered = backend.requests[0].prompt_text
         for part in ("Classify X", "a", "pos", "neg"):
             assert part in rendered
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_trial, trial_doc
+from conftest import Recorder, run_trial, trial_doc
 
 _SPEC = importlib.util.spec_from_file_location(
     "golden_sampling_backend", Path(__file__).resolve().parents[1] / "perfbench" / "sampling_backend.py"
@@ -45,18 +45,15 @@ PINS = {
 }
 
 
-class LoggingModel:
-    """The sampling backend, logging what each call asks for."""
+def logging_model() -> Recorder:
+    """The sampling backend, recording what each call asks for."""
+    return Recorder(sampling_backend.SamplingBackend(MODEL_SEED))
 
-    def __init__(self) -> None:
-        self.inner = sampling_backend.SamplingBackend(MODEL_SEED)
-        self.log: list[list] = []
 
-    def complete(self, request):
-        self.log.append(
-            [request.request_tag, request.prompt_text, request.max_new_tokens, request.temperature, request.sample_seed]
-        )
-        return self.inner.complete(request)
+def call_log(model: Recorder) -> bytes:
+    """Each call's tag, prompt, budget, temperature and sample seed."""
+    log = [[r.request_tag, r.prompt_text, r.max_new_tokens, r.temperature, r.sample_seed] for r in model.requests]
+    return json.dumps(log, ensure_ascii=False).encode("utf-8")
 
 
 def sha256(data: bytes) -> str:
@@ -66,13 +63,12 @@ def sha256(data: bytes) -> str:
 @pytest.mark.parametrize("rule, k", sorted(PINS), ids=[f"{rule}-k{k}" for rule, k in sorted(PINS)])
 def test_trial_file_and_call_log_are_pinned(tmp_path, monkeypatch, rule, k):
     trial_pin, log_pin = PINS[rule, k]
-    model = LoggingModel()
+    model = logging_model()
     trials = [sha256(run_trial(tmp_path, "w1", trial_doc(rule, 1, k), monkeypatch, model))]
     for width in (8, 16, 24):
         concurrent = sampling_backend.SamplingBackend(MODEL_SEED)
         trials.append(sha256(run_trial(tmp_path, f"w{width}", trial_doc(rule, width, k), monkeypatch, concurrent)))
-    log = json.dumps(model.log, ensure_ascii=False).encode("utf-8")
-    assert (trials, sha256(log)) == ([trial_pin] * 4, log_pin)
+    assert (trials, sha256(call_log(model))) == ([trial_pin] * 4, log_pin)
 
 
 def test_record_then_replay_is_pinned(tmp_path, monkeypatch):
@@ -81,10 +77,10 @@ def test_record_then_replay_is_pinned(tmp_path, monkeypatch):
         tmp_path, "record", trial_doc("momentum-case2", 8, 4, cache_mode="record", cache_path=cache),
         monkeypatch, sampling_backend.SamplingBackend(MODEL_SEED),
     )
-    untouched = LoggingModel()
+    untouched = logging_model()
     replayed = run_trial(
         tmp_path, "replay", trial_doc("momentum-case2", 8, 4, cache_mode="replay", cache_path=cache),
         monkeypatch, untouched,
     )
     assert sha256(recorded) == sha256(replayed) == PINS["momentum-case2", 4][0]
-    assert untouched.log == []
+    assert untouched.requests == []

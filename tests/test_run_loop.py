@@ -17,7 +17,6 @@ from tsgdm import (
     GenerationParams,
     HypothesisPreset,
     NetworkError,
-    OptimizerHistory,
     PromptRecord,
     REFINE_PROMPT,
     RunConfig,
@@ -32,7 +31,7 @@ from tsgdm import (
 )
 from tsgdm.optimizer import draw_plan
 from tsgdm.rng import STREAM_CANDIDATES
-from conftest import HoldoutHits, make_marker_backend
+from conftest import HoldoutHits, Recorder, make_marker_backend
 
 
 def chain_backend():
@@ -126,17 +125,9 @@ class TestPresets:
 
 
 class TestHistoryTypes:
-    def test_append_requires_contiguous_iterations(self):
-        history = OptimizerHistory()
-        history.append(PromptRecord(0, "a"))
-        with pytest.raises(DomainError):
-            history.append(PromptRecord(2, "b"))
-
     def test_record_validation(self):
         with pytest.raises(DomainError):
             PromptRecord(-1, "a")
-        with pytest.raises(DomainError):
-            PromptRecord(0, "a", holdout_score=1.5)
 
 
 def chain_hits(task, *hits):
@@ -196,21 +187,21 @@ class TestRunLoop:
         assert result.total_lm_calls > 0
 
     def test_single_candidate_is_scored_once_per_iteration(self, tiny_task):
-        backend = chain_backend()
+        backend = Recorder(chain_backend())
         result = run_tsgd(small_config(total_iterations=3, patience=9), tiny_task, backend)
-        score_tags = [r.request_tag for r in backend.call_log if r.request_tag.startswith("score/")]
+        score_tags = [r.request_tag for r in backend.requests if r.request_tag.startswith("score/")]
         assert len(score_tags) == 4 * len(tiny_task.holdout)
         assert [row.candidate_scores for row in result.per_iteration] == [()] * 4
 
     def test_holdout_passes_are_tagged_with_their_iteration_and_candidate(self, tiny_task):
         gen = GenerationParams(alpha=0.6, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=2)
-        backend = chain_backend()
+        backend = Recorder(chain_backend())
         run_tsgd(small_config(total_iterations=2, patience=9, generation=gen), tiny_task, backend)
         examples = range(len(tiny_task.holdout))
         expected = [f"score/ex{i}" for i in examples] + [
             f"score/iter{t}/cand{j}/ex{i}" for t in range(2) for j in range(2) for i in examples
         ]
-        assert [r.request_tag for r in backend.call_log if r.request_tag.startswith("score/")] == expected
+        assert [r.request_tag for r in backend.requests if r.request_tag.startswith("score/")] == expected
 
     def test_real_holdout_scoring_counts_examples(self, tiny_task):
         config = small_config(total_iterations=0)
@@ -239,17 +230,17 @@ class TestRunLoop:
         )
         logs = []
         for seed in (0, 1):
-            backend = make_marker_backend()
+            backend = Recorder(make_marker_backend())
             run_tsgd(
                 small_config(total_iterations=1, seed=seed, generation=gen),
                 tiny_task,
                 HoldoutHits(backend, tiny_task),
             )
-            logs.append([r.prompt_text for r in backend.call_log if r.request_tag.startswith("predict")])
+            logs.append([r.prompt_text for r in backend.requests if r.request_tag.startswith("predict")])
         assert logs[0] != logs[1]
 
     def test_concat_mode_runs_with_verbatim_header(self, tiny_task):
-        backend = make_marker_backend()
+        backend = Recorder(make_marker_backend())
         config = small_config(
             total_iterations=2,
             patience=5,
@@ -263,7 +254,7 @@ class TestRunLoop:
             ),
         )
         run_tsgd(config, tiny_task, HoldoutHits(backend, tiny_task))
-        refine_calls = [r for r in backend.call_log if r.request_tag.startswith("refine")]
+        refine_calls = [r for r in backend.requests if r.request_tag.startswith("refine")]
         assert refine_calls
         assert all(
             "Here are the past iterations of this variable" in r.prompt_text
@@ -271,7 +262,7 @@ class TestRunLoop:
         )
 
     def test_gradient_mode_records_and_conditions_on_gradients(self, tiny_task):
-        backend = make_marker_backend()
+        backend = Recorder(make_marker_backend())
         config = small_config(
             total_iterations=2,
             patience=5,
@@ -285,20 +276,22 @@ class TestRunLoop:
             ),
         )
         run_tsgd(config, tiny_task, HoldoutHits(backend, tiny_task))
-        analyze_calls = [r for r in backend.call_log if r.request_tag.startswith("analyze")]
-        refine_calls = [r for r in backend.call_log if r.request_tag.startswith("refine")]
+        analyze_calls = [r for r in backend.requests if r.request_tag.startswith("analyze")]
+        refine_calls = [r for r in backend.requests if r.request_tag.startswith("refine")]
         assert [r.request_tag for r in analyze_calls] == ["analyze/iter0", "analyze/iter1"]
         assert all("The instruction ignores the marker word." in r.prompt_text for r in refine_calls)
 
 
     def test_concat_conditions_on_every_prompt_up_to_the_current_one(self, tiny_task):
-        backend = ScriptedBackend(
-            rules=[
-                ScriptRule("gen-2", "gen-3"),
-                ScriptRule("gen-1", "gen-2"),
-                ScriptRule("Improved version:", "gen-1"),
-            ],
-            default_response=" blue",
+        backend = Recorder(
+            ScriptedBackend(
+                rules=[
+                    ScriptRule("gen-2", "gen-3"),
+                    ScriptRule("gen-1", "gen-2"),
+                    ScriptRule("Improved version:", "gen-1"),
+                ],
+                default_response=" blue",
+            )
         )
         config = small_config(
             total_iterations=3,
@@ -313,7 +306,7 @@ class TestRunLoop:
         prompts = [row.selected_prompt for row in result.per_iteration]
         assert prompts == [tiny_task.initial_prompt, "gen-1", "gen-2", "gen-3"]
         for t in range(3):
-            (request,) = [r for r in backend.call_log if r.request_tag.startswith(f"refine/iter{t}/")]
+            (request,) = [r for r in backend.requests if r.request_tag.startswith(f"refine/iter{t}/")]
             joined = "\n".join(prompts[: t + 1])
             assert f"<PAST_ITERATIONS>\n{joined}\n</PAST_ITERATIONS>" in request.prompt_text
 
@@ -321,14 +314,14 @@ class TestRunLoop:
         # Candidate j of round t conditions each block on the record its
         # draw plan names, drawn from its own substream.
         gen = GenerationParams(alpha=1.0, max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=4)
-        backend = chain_backend()
+        backend = Recorder(chain_backend())
         scored = HoldoutHits(backend, tiny_task, {"gen-1": 3, "gen-2": 4, "gen-3": 5})
         result = run_tsgd(small_config(total_iterations=3, patience=5, generation=gen), tiny_task, scored)
         prompts = [row.selected_prompt for row in result.per_iteration]
         assert len(set(prompts)) == 4
         for t in (1, 2):
             weights = momentum_weights(1.0, t)
-            refines = [r for r in backend.call_log if r.request_tag.startswith(f"refine/iter{t}/")]
+            refines = [r for r in backend.requests if r.request_tag.startswith(f"refine/iter{t}/")]
             sent = [(r.request_tag, r.prompt_text) for r in refines]
             expected = []
             for j in range(4):
@@ -347,7 +340,7 @@ class TestRunLoop:
         ],
     )
     def test_sequential_call_order_of_each_mode(self, tiny_task, mode, first):
-        backend = make_marker_backend()
+        backend = Recorder(make_marker_backend())
         config = small_config(
             total_iterations=2,
             patience=5,
@@ -357,7 +350,7 @@ class TestRunLoop:
         )
         run_tsgd(config, tiny_task, backend)
         holdout = ["score"] * len(tiny_task.holdout)
-        phases = [r.request_tag.split("/")[0] for r in backend.call_log]
+        phases = [r.request_tag.split("/")[0] for r in backend.requests]
         assert phases == holdout + (first + holdout * 2) * 2
 
 
@@ -392,19 +385,19 @@ class TestFailureHandling:
         # Only gradient mode draws a batch, but every mode refuses one that
         # cannot be drawn, before its first call.
         gen = GenerationParams(max_total_tokens=8, block_tokens=8, candidates=1, mode=mode)
-        backend = make_marker_backend()
+        backend = Recorder(make_marker_backend())
         with pytest.raises(SizeError):
             run_tsgd(small_config(batch_size=50, generation=gen), tiny_task, backend)
-        assert backend.call_log == []
+        assert backend.requests == []
 
     @pytest.mark.parametrize("mode", ["case1_meta_prompt", "case2_gradient", "concat_baseline"])
     def test_empty_train_pool(self, mode):
         task = synthetic_binding(n_train=0, n_holdout=6, n_test=6, seed=7)
         gen = GenerationParams(max_total_tokens=8, block_tokens=8, candidates=1, mode=mode)
-        backend = make_marker_backend()
+        backend = Recorder(make_marker_backend())
         with pytest.raises(EmptySetError):
             run_tsgd(small_config(generation=gen), task, backend)
-        assert backend.call_log == []
+        assert backend.requests == []
 
     def test_oversized_batch_with_replacement_runs(self, tiny_task):
         config = small_config(batch_size=50, total_iterations=1, sample_with_replacement=True)

@@ -34,6 +34,7 @@ from tsgdm import (
 )
 from tsgdm.rng import STREAM_BATCH
 from tsgdm.cli import TaskSettings, build_task
+from conftest import Recorder
 
 
 class TestNormalization:
@@ -173,13 +174,11 @@ class TestSampleBatch:
 
 class TestPredict:
     def test_renders_forward_template_and_parses(self):
-        backend = ScriptedBackend(
-            rules=[ScriptRule("widget", " It is a Widget, yes.")], default_response=" no"
-        )
+        backend = Recorder(ScriptedBackend(rules=[ScriptRule("widget", " It is a Widget, yes.")], default_response=" no"))
         raw, parsed = predict(backend, "Classify.", "a widget thing", ("yes", "no"))
         assert raw == " It is a Widget, yes."
         assert parsed == "yes"
-        request = backend.call_log[0]
+        request = backend.requests[0]
         assert request.prompt_text == "Classify.\na widget thing\nAnswer:"
         assert request.max_new_tokens == 16
         assert request.temperature == 0.0
@@ -208,10 +207,10 @@ class TestScorePrompt:
         )
 
     def test_classification_counts_parsed_matches(self):
-        backend = self.backend()
+        backend = Recorder(self.backend())
         score = score_prompt("P", self.examples(), backend, label_set=("yes", "no"))
         assert score == pytest.approx(2 / 3)
-        assert [r.request_tag for r in backend.call_log] == [
+        assert [r.request_tag for r in backend.requests] == [
             "score/ex0",
             "score/ex1",
             "score/ex2",
@@ -235,17 +234,19 @@ class TestScorePrompt:
         assert score == 0.5
 
     def test_score_function_binds_split(self, tiny_task):
-        backend = ScriptedBackend(
-            rules=[
-                ScriptRule("carries marker blue", " blue"),
-                ScriptRule("carries marker red", " red"),
-            ],
-            default_response=" blue",
+        backend = Recorder(
+            ScriptedBackend(
+                rules=[
+                    ScriptRule("carries marker blue", " blue"),
+                    ScriptRule("carries marker red", " red"),
+                ],
+                default_response=" blue",
+            )
         )
         fn = tiny_task.score_function(backend)
         assert fn.examples == tiny_task.holdout
         assert fn(tiny_task.initial_prompt) == 1.0
-        assert [r.request_tag for r in backend.call_log] == [f"score/ex{i}" for i in range(len(tiny_task.holdout))]
+        assert [r.request_tag for r in backend.requests] == [f"score/ex{i}" for i in range(len(tiny_task.holdout))]
 
 
 class TestTaskBinding:

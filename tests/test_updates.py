@@ -17,7 +17,6 @@ from tsgdm import (
     EmptyHistoryError,
     FinishReason,
     GenerationParams,
-    OptimizerHistory,
     PromptRecord,
     RunConfig,
     ScriptRule,
@@ -29,7 +28,7 @@ from tsgdm import (
 from tsgdm.gateway import CallPool
 from tsgdm.optimizer import _argmax, _maker
 from tsgdm.rng import STREAM_CANDIDATES
-from conftest import HoldoutHits
+from conftest import HoldoutHits, Recorder
 
 
 class TagBackend:
@@ -38,10 +37,8 @@ class TagBackend:
 
     def __init__(self, texts):
         self.texts = list(texts)
-        self.call_log = []
 
     def complete(self, request):
-        self.call_log.append(request)
         if request.request_tag.startswith("refine/"):
             j = int(request.request_tag.split("/")[2].removeprefix("cand"))
             return CompletionResult(text=self.texts[min(j, len(self.texts) - 1)], finish_reason=FinishReason.STOP)
@@ -66,10 +63,7 @@ class HitMatrix:
 
 
 def history_of(*prompts):
-    history = OptimizerHistory()
-    for i, prompt in enumerate(prompts):
-        history.append(PromptRecord(iteration=i, prompt_text=prompt))
-    return history
+    return tuple(PromptRecord(iteration=i, prompt_text=prompt) for i, prompt in enumerate(prompts))
 
 
 def gen_with(k, **kwargs):
@@ -104,7 +98,7 @@ def chain_backend():
 class TestUpdateMom:
     def test_empty_history(self):
         with pytest.raises(EmptyHistoryError):
-            _maker(OptimizerHistory(), gen_with(1), True, 0, ScriptedBackend())
+            _maker((), gen_with(1), True, 0, ScriptedBackend())
 
     def test_k3_argmax(self, tiny_task):
         hits = {"cand-a": 1, "cand-b": 5, "cand-c": 3}
@@ -121,9 +115,9 @@ class TestUpdateMom:
         assert _argmax([0.9, 0.9]) == (0, 0.9, [0.9, 0.9])
 
     def test_k20_generates_twenty_candidates(self, tiny_task):
-        backend = ScriptedBackend(default_response="cand")
+        backend = Recorder(ScriptedBackend(default_response="cand"))
         one_round(tiny_task, gen_with(20), backend)
-        tags = {r.request_tag.split("/")[2] for r in backend.call_log if r.request_tag.startswith("refine/")}
+        tags = {r.request_tag.split("/")[2] for r in backend.requests if r.request_tag.startswith("refine/")}
         assert tags == {f"cand{j}" for j in range(20)}
 
     def test_all_zero_scores_returns_first(self, tiny_task):
@@ -138,13 +132,11 @@ class TestUpdateMom:
         # different sources; the same seed must reproduce the same choices
         logs = []
         for _ in range(2):
-            backend = ScriptedBackend(
-                rules=[ScriptRule("SEED-A", "a "), ScriptRule("SEED-B", "b ")],
-            )
+            backend = Recorder(ScriptedBackend(rules=[ScriptRule("SEED-A", "a "), ScriptRule("SEED-B", "b ")]))
             make = _maker(history_of("SEED-A", "SEED-B"), gen_with(8, alpha=1.0), True, 123, backend)
             for j in range(8):
                 make(j)
-            logs.append([r.prompt_text for r in backend.call_log])
+            logs.append([r.prompt_text for r in backend.requests])
         assert logs[0] == logs[1]
         sources = {("SEED-A" in p, "SEED-B" in p) for p in logs[0]}
         assert len(sources) > 1  # both records actually get sampled
@@ -183,9 +175,9 @@ class TestSelection:
 
 class TestUpdateVanilla:
     def test_k20_count(self, tiny_task):
-        backend = ScriptedBackend(default_response="cand")
+        backend = Recorder(ScriptedBackend(default_response="cand"))
         one_round(tiny_task, gen_with(20), backend, use_momentum=False)
-        assert len([r for r in backend.call_log if r.request_tag.startswith("refine/")]) == 20
+        assert len([r for r in backend.requests if r.request_tag.startswith("refine/")]) == 20
 
 
 def made(make, k):
@@ -195,31 +187,31 @@ def made(make, k):
 class TestAlphaZeroDegeneracy:
     def test_update_level_call_logs_identical(self):
         history = history_of("SEED-A", "SEED-B")
-        mom_backend = chain_backend()
-        van_backend = chain_backend()
+        mom_backend = Recorder(chain_backend())
+        van_backend = Recorder(chain_backend())
         mom = made(_maker(history, gen_with(3, alpha=0.0), True, 77, mom_backend), 3)
         van = made(_maker(history, gen_with(3, alpha=0.0), False, 77, van_backend), 3)
         assert mom == van == ["cand-from-B"] * 3
-        assert mom_backend.call_log == van_backend.call_log
+        assert mom_backend.requests == van_backend.requests
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     def test_over_one_record_momentum_is_vanilla_at_any_alpha(self, alpha):
-        mom_backend = chain_backend()
-        van_backend = chain_backend()
+        mom_backend = Recorder(chain_backend())
+        van_backend = Recorder(chain_backend())
         mom = made(_maker(history_of("SEED-A"), gen_with(3, alpha=alpha), True, 5, mom_backend), 3)
         van = made(_maker(history_of("SEED-A"), gen_with(3, alpha=alpha), False, 5, van_backend), 3)
         assert mom == van
-        assert mom_backend.call_log == van_backend.call_log
+        assert mom_backend.requests == van_backend.requests
 
 
 class TestUpdateConcat:
     def test_conditioning_contains_all_history(self):
-        backend = ScriptedBackend(default_response="next")
+        backend = Recorder(ScriptedBackend(default_response="next"))
         _maker(history_of("alpha-p", "beta-p", "gamma-p"), gen_with(1, mode="concat_baseline"), True, 0, backend)(0)
-        rendered = backend.call_log[0].prompt_text
+        rendered = backend.requests[0].prompt_text
         assert "alpha-p\nbeta-p\ngamma-p" in rendered
         assert "Here are the past iterations of this variable" in rendered
 
     def test_empty_history(self):
         with pytest.raises(EmptyHistoryError):
-            _maker(OptimizerHistory(), gen_with(1, mode="concat_baseline"), True, 0, ScriptedBackend())
+            _maker((), gen_with(1, mode="concat_baseline"), True, 0, ScriptedBackend())

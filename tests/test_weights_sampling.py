@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsgdm import DomainError, WeightVector, momentum_weights, sample_source, substream
+from tsgdm import DomainError, momentum_weights, sample_source, substream
 
 
 class TestMomentumWeights:
@@ -62,20 +62,6 @@ class TestMomentumWeights:
             assert abs(older / newer - alpha) <= 1e-9
 
 
-class TestWeightVector:
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            WeightVector((0.5, -0.1, 0.6))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(DomainError):
-            WeightVector((0.5, 0.4))
-
-    def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            WeightVector(())
-
-
 class FixedUniforms:
     """Stand-in stream yielding a fixed uniform sequence."""
 
@@ -89,23 +75,23 @@ class FixedUniforms:
 class TestSampleSource:
     def test_single_support(self):
         rng = substream(0, 9)
-        weights = WeightVector((1.0,))
+        weights = (1.0,)
         assert all(sample_source(weights, rng) == 0 for _ in range(50))
 
     def test_degenerate_tail(self):
         rng = substream(1, 9)
-        weights = WeightVector((0.0, 0.0, 1.0))
+        weights = (0.0, 0.0, 1.0)
         assert all(sample_source(weights, rng) == 2 for _ in range(50))
 
     def test_half_half_frequency(self):
         rng = substream(42, 9)
-        weights = WeightVector((0.5, 0.5))
+        weights = (0.5, 0.5)
         draws = 10_000
         zeros = sum(sample_source(weights, rng) == 0 for _ in range(draws))
         assert 0.47 <= zeros / draws <= 0.53
 
     def test_inverse_cdf_boundaries(self):
-        weights = WeightVector((0.25, 0.25, 0.5))
+        weights = (0.25, 0.25, 0.5)
         assert sample_source(weights, FixedUniforms([0.0])) == 0
         assert sample_source(weights, FixedUniforms([0.25])) == 1
         assert sample_source(weights, FixedUniforms([0.499])) == 1
