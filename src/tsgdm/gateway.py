@@ -47,7 +47,7 @@ class FinishReason(str, Enum):
     EOS = "eos"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRequest:
     """One generation request.
 
@@ -70,7 +70,8 @@ class CompletionRequest:
             raise DomainError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         if self.temperature is None or self.temperature < 0.0:
             raise DomainError(f"temperature must be >= 0, got {self.temperature}")
-        object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
+        if type(self.stop_sequences) is not tuple:
+            object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
 
     def digest(self) -> str:
         """Hex digest over exactly the fields that determine the completion."""
@@ -230,7 +231,7 @@ class CallPool:
         if workers > 0:
             self._helper_wake.notify(workers)
 
-    def _settle(self, index: int, follow_ups: list, failure: BaseException | None) -> None:
+    def _settle(self, index: int, follow_ups: list | None, failure: BaseException | None) -> None:
         """Record how the task at ``index`` ended. Its follow-ups join the
         queue; the thread that ran it takes the next task itself and wakes a
         worker for each further follow-up. Called under the pool lock."""
@@ -300,12 +301,14 @@ class CallPool:
         self.close()
 
 
-def _perform(index: int, task: Task) -> "tuple[int, list, BaseException | None]":
-    """Run one pooled task: its index, its follow-ups and its failure."""
+def _perform(index: int, task: Task) -> "tuple[int, list | None, BaseException | None]":
+    """Run one pooled task: its index, its follow-ups (None for none) and
+    its failure."""
     try:
-        return index, list(task() or ()), None
+        follow_ups = task()
+        return index, None if follow_ups is None else list(follow_ups), None
     except BaseException as exc:  # re-raised by the run's caller
-        return index, [], exc
+        return index, None, exc
 
 
 # Runs every map in the caller's thread; the default wherever a pool is optional.
@@ -710,12 +713,13 @@ class CallCounter:
         return waits_on_io(self.inner)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        with self._lock:
+        lock = self._lock
+        with lock:
             if self.max_calls is not None and self.calls >= self.max_calls:
                 raise BudgetExceededError(f"gateway call budget of {self.max_calls} exhausted")
             self.calls += 1
         result = self.inner.complete(request)
-        with self._lock:
+        with lock:
             self.prompt_tokens += result.prompt_tokens
             self.completion_tokens += result.completion_tokens
         return result

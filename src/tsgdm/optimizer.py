@@ -295,32 +295,63 @@ def _conditioning_text(gen: GenerationParams, record: PromptRecord) -> str:
     return gen.refine_template.format(prompt=record.prompt_text)
 
 
+class _Draft:
+    """A candidate written block by block: block ``b`` asks for up to
+    block_tokens more tokens on the conditioning of its source record,
+    followed by the candidate so far, until the total budget is spent or
+    the backend stops on its own.
+
+    ``sources`` holds the source of every block, and ``conditioning`` renders
+    a source. :meth:`write` sends blocks while ``admits`` lets their source
+    through and returns the candidate, or None at the first block held
+    back; the next :meth:`write` resumes at that block.
+    """
+
+    def __init__(
+        self,
+        sources: Sequence[int],
+        conditioning: Callable[[int], str],
+        gen: GenerationParams,
+        lm: Backend,
+        tag_prefix: str,
+    ) -> None:
+        self.sources = sources
+        self.conditioning = conditioning
+        self.gen = gen
+        self.lm = lm
+        self.tag_prefix = tag_prefix
+        self.parts: list[str] = []
+        self.block = self.produced = 0
+
+    def write(self, admits: Callable[[int], bool] | None = None) -> str | None:
+        gen = self.gen
+        while self.block < len(self.sources):
+            source = self.sources[self.block]
+            if admits is not None and not admits(source):
+                return None
+            budget = min(gen.block_tokens, gen.max_total_tokens - self.produced)
+            request = CompletionRequest(
+                prompt_text=self.conditioning(source) + "".join(self.parts),
+                max_new_tokens=budget,
+                temperature=gen.temperature,
+                request_tag=f"{self.tag_prefix}/block{self.block}",
+            )
+            result = self.lm.complete(request)
+            self.parts.append(result.text)
+            self.produced += budget
+            self.block = self.block + 1 if result.finish_reason is FinishReason.LENGTH else len(self.sources)
+        return "".join(self.parts)
+
+
 def generate_candidate(
     conditioning: Sequence[str],
     gen: GenerationParams,
     lm: Backend,
     tag_prefix: str,
 ) -> str:
-    """One candidate, block by block: block ``b`` asks for up to
-    block_tokens more tokens on ``conditioning[b]`` followed by the
-    candidate so far, until the total budget is spent or the backend stops
-    on its own."""
-    parts: list[str] = []
-    produced = 0
-    for block, text in enumerate(conditioning):
-        budget = min(gen.block_tokens, gen.max_total_tokens - produced)
-        request = CompletionRequest(
-            prompt_text=text + "".join(parts),
-            max_new_tokens=budget,
-            temperature=gen.temperature,
-            request_tag=f"{tag_prefix}/block{block}",
-        )
-        result = lm.complete(request)
-        parts.append(result.text)
-        produced += budget
-        if result.finish_reason is not FinishReason.LENGTH:
-            break
-    return "".join(parts)
+    """One candidate whose block ``b`` is conditioned on ``conditioning[b]``:
+    a :class:`_Draft` with every source ready."""
+    return _Draft(range(len(conditioning)), conditioning.__getitem__, gen, lm, tag_prefix).write()
 
 
 def concat_momentum_prompt(history: Sequence[PromptRecord], template: str) -> str:
@@ -363,37 +394,87 @@ def _candidate_tag(iteration: int, j: int) -> str:
     return f"refine/iter{iteration}/cand{j}"
 
 
-def _maker(
-    records: Sequence[PromptRecord], gen: GenerationParams, momentum: bool, root_seed: int, lm: Backend
-) -> Callable[[int], str]:
-    """Maker of candidate ``j`` of round ``t``, the iteration of
-    ``records[-1]``, which picks each block's conditioning by the update rule:
+class _Gate:
+    """Holds back the blocks drawn from record ``newest`` until its error
+    analysis returns. A draft held back parks: it joins ``waiting``, where
+    the candidates not yet started are too, and its task returns, so no
+    pooled task ever waits on the gate. :meth:`open` lets every block
+    through and hands back the waiting candidates in candidate order."""
 
-    - concat: the joined history, for every block;
-    - vanilla, or momentum over a single record: the newest record, for
-      every block, with no draw;
+    def __init__(self, newest: int, waiting: list[int]) -> None:
+        self.newest = newest
+        self.waiting = waiting
+        self.is_open = False
+        self._lock = threading.Lock()
+
+    def admits(self, j: int, source: int) -> bool:
+        """Whether candidate ``j`` may send a block drawn from ``source``;
+        if not, ``j`` is parked."""
+        # is_open only turns true, so a true read needs no lock.
+        if source != self.newest or self.is_open:
+            return True
+        with self._lock:
+            if not self.is_open:
+                self.waiting.append(j)
+            return self.is_open
+
+    def open(self) -> list[int]:
+        with self._lock:
+            self.is_open = True
+            return sorted(self.waiting)
+
+
+def _maker(
+    records: Sequence[PromptRecord],
+    gen: GenerationParams,
+    momentum: bool,
+    root_seed: int,
+    lm: Backend,
+    gate: _Gate | None = None,
+) -> Callable[[int], str | None]:
+    """Maker of candidate ``j`` of round ``t``, the iteration of
+    ``records[-1]``. Its :class:`_Draft` takes each block's source by the
+    update rule:
+
+    - concat: the newest record, whose conditioning is the joined history;
+    - vanilla, or momentum over a single record: the newest record, with no
+      draw;
     - momentum: the :func:`draw_plan` of candidate ``j``, drawn from its own
-      ``substream(root_seed, STREAM_CANDIDATES, t, j)`` inside its task.
-      Each drawn record is rendered once per round.
+      ``substream(root_seed, STREAM_CANDIDATES, t, j)`` in its first call.
+
+    Each record is rendered once per round, when a block first needs it, so
+    ``records`` may still gain the newest record's error analysis. A call
+    writes the draft as far as ``gate`` admits and returns the candidate,
+    or None where the draft parked; the next call resumes it. Without a
+    gate every source is ready.
     """
     if len(records) == 0:
         raise EmptyHistoryError("an update needs at least one record")
-    t = records[-1].iteration
+    newest = len(records) - 1
+    t = records[newest].iteration
     blocks = math.ceil(gen.max_total_tokens / gen.block_tokens)
+    weights = None
     if gen.mode is GenerationMode.CONCAT_BASELINE:
-        conditioning = (concat_momentum_prompt(records, gen.refine_template),) * blocks
-    elif not momentum or len(records) == 1:
-        conditioning = (_conditioning_text(gen, records[-1]),) * blocks
+        joined = concat_momentum_prompt(records, gen.refine_template)
+        conditioning = lambda source: joined
     else:
-        weights = momentum_weights(gen.alpha, len(records) - 1)
-        render = functools.cache(lambda source: _conditioning_text(gen, records[source]))
+        conditioning = functools.cache(lambda source: _conditioning_text(gen, records[source]))
+        if momentum and newest > 0:
+            weights = momentum_weights(gen.alpha, newest)
 
-        def make(j: int) -> str:
-            plan = draw_plan(weights, blocks, substream(root_seed, STREAM_CANDIDATES, t, j))
-            return generate_candidate([render(source) for source in plan], gen, lm, _candidate_tag(t, j))
+    drafts: dict[int, _Draft] = {}
 
-        return make
-    return lambda j: generate_candidate(conditioning, gen, lm, _candidate_tag(t, j))
+    def make(j: int) -> str | None:
+        draft = drafts.get(j)
+        if draft is None:  # the draft's first call draws its plan
+            if weights is None:
+                sources = (newest,) * blocks
+            else:
+                sources = draw_plan(weights, blocks, substream(root_seed, STREAM_CANDIDATES, t, j))
+            draft = drafts[j] = _Draft(sources, conditioning, gen, lm, _candidate_tag(t, j))
+        return draft.write(None if gate is None else functools.partial(gate.admits, j))
+
+    return make
 
 
 def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
@@ -405,9 +486,9 @@ def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
 
 
 class _Candidates:
-    """The k candidates of iteration ``t``. :meth:`tasks` makes candidate
-    ``j`` in task ``j``, and that task returns the candidate's forward
-    passes over ``score``'s examples, tagged
+    """The k candidates of iteration ``t``. :meth:`tasks` writes candidate
+    ``j`` in task ``j``. The task that finishes it returns the candidate's
+    forward passes over ``score``'s examples, tagged
     ``{score.tag}/iter{t}/cand{j}/ex{i}``, so scoring starts as soon as the
     candidate is made."""
 
@@ -416,11 +497,14 @@ class _Candidates:
         self.hits = [[False] * len(score.examples) for _ in range(k)]
         self.scorers = [dataclasses.replace(score, tag=f"{score.tag}/iter{t}/cand{j}") for j in range(k)]
 
-    def tasks(self, make: Callable[[int], str]) -> list[Task]:
+    def tasks(self, make: Callable[[int], str | None]) -> list[Task]:
         return [functools.partial(self._generate, make, j) for j in range(len(self.texts))]
 
-    def _generate(self, make: Callable[[int], str], j: int) -> list[Task]:
-        self.texts[j] = make(j)
+    def _generate(self, make: Callable[[int], str | None], j: int) -> list[Task] | None:
+        text = make(j)
+        if text is None:  # parked: the round's analysis queues this task again
+            return None
+        self.texts[j] = text
         return [functools.partial(self._forward, j, i) for i in range(len(self.hits[j]))]
 
     def _forward(self, j: int, i: int) -> None:
@@ -481,21 +565,36 @@ def run_tsgd(
     once. The caller owns the pool: the run neither opens nor closes it, so
     one pool can also serve whatever the caller runs next, such as a test
     pass. Each iteration is one ``pool.run`` of a queue in which every call
-    is queued as soon as the values it reads exist. In gradient mode the
-    queue starts with the batch forward passes; the last of them to finish
-    queues the error analysis, which queues the k candidate generations.
-    In the other modes it starts with the k generations. As soon as
-    candidate j is made, its |holdout| forward passes join the queue. The
-    round's record, with its batch triples in gradient mode, is appended
-    once the queue drains; generation sees it earlier through a view of the
-    history.
+    is queued as soon as the values it reads exist. Each candidate is a
+    draft that sends its blocks in order while the source record of the
+    next block is complete. Only the round's newest record in gradient mode
+    is incomplete: its blocks wait for its error analysis.
+
+    - In case1 and concat mode the queue starts with the k drafts, which
+      never wait.
+    - In gradient mode it starts with the batch forward passes, and in
+      momentum mode after round 0 with the k drafts behind them. A draft
+      that reaches a block drawn from the newest record before the analysis
+      has returned parks: its task returns, so no pooled task ever waits.
+      The last forward pass to finish queues the analysis. The analysis
+      queues the parked drafts, in vanilla mode and in round 0 all k
+      drafts, in candidate order.
+
+    As soon as candidate j is complete, its |holdout| forward passes join
+    the queue. The round's record is appended to the history as the round
+    starts; in gradient mode the analysis adds its batch triples and error
+    analysis.
 
     Every request and its place in the result are fixed before it is sent,
     so the result is byte-identical at every pool width. The default,
     :data:`SEQUENTIAL`, has width 1 and runs each queue in order in the
-    caller's thread: in gradient mode the forward passes, the analysis,
-    the k generations, then the holdout passes by candidate and example; in
-    the other modes the k generations, then the holdout passes.
+    caller's thread. In case1 and concat mode that is the k drafts, then
+    the holdout passes by candidate and example. In gradient mode it is the
+    forward passes, the analysis, the k drafts, then the holdout passes;
+    after round 0 momentum mode instead runs the forward passes, each draft
+    up to its first block drawn from the newest record, the analysis, the
+    holdout passes of the drafts that never drew it, the rest of the parked
+    drafts and then their holdout passes.
     """
     counter = CallCounter(_RunDraws(lm, config.seed), max_calls=max_lm_calls)
     gen = config.generation
@@ -526,13 +625,16 @@ def run_tsgd(
         stop_reason = StopReason.MAX_ITERATIONS
         stale = 0
         for t in range(config.total_iterations):
-            record = PromptRecord(iteration=t, prompt_text=current_prompt)
+            history.append(PromptRecord(iteration=t, prompt_text=current_prompt))
             pick = _Candidates(gen.candidates, score, t)
-
-            def generations(newest: PromptRecord) -> list[Task]:
-                return pick.tasks(_maker((*history, newest), gen, config.use_momentum, config.seed, counter))
-
-            if gen.mode is GenerationMode.CASE2_GRADIENT:
+            if gen.mode is not GenerationMode.CASE2_GRADIENT:
+                pool.run(pick.tasks(_maker(history, gen, config.use_momentum, config.seed, counter)))
+            else:
+                # Only a momentum draft over several records can draw an older
+                # record, so only those start early; the analysis starts the rest.
+                early = config.use_momentum and t > 0
+                gate = _Gate(t, [] if early else list(range(gen.candidates)))
+                drafts = pick.tasks(_maker(history, gen, config.use_momentum, config.seed, counter, gate))
                 batch = sample_batch(
                     train,
                     config.batch_size,
@@ -558,18 +660,14 @@ def run_tsgd(
                     return [analyze] if last else None
 
                 def analyze() -> list[Task]:
-                    nonlocal record
-                    record = dataclasses.replace(record, batch_triples=tuple(triples))
+                    record = dataclasses.replace(history[-1], batch_triples=tuple(triples))
                     gradient = compute_textual_gradient(
                         record, gen.analyze_template, counter, gen, tag=f"analyze/iter{t}"
                     )
-                    record = dataclasses.replace(record, gradient_text=gradient)
-                    return generations(record)
+                    history[-1] = dataclasses.replace(record, gradient_text=gradient)
+                    return [drafts[j] for j in gate.open()]
 
-                pool.run([functools.partial(forward, i) for i in range(len(batch))])
-            else:
-                pool.run(generations(record))
-            history.append(record)
+                pool.run([functools.partial(forward, i) for i in range(len(batch))] + (drafts if early else []))
             index, value, cand_scores = pick.select()
             next_prompt = pick.texts[index]
             snapshot(t + 1, next_prompt, value, cand_scores, index)

@@ -62,8 +62,13 @@ def parse_label(completion: str, label_set: Sequence[str]) -> str | None:
     several present labels return None (unmatched).
     """
     haystack = normalize_text(completion)
-    matches = [label for label, needle in _needles(tuple(label_set)) if needle in haystack]
-    return matches[0] if len(matches) == 1 else None
+    found = None
+    for label, needle in _needles(label_set if type(label_set) is tuple else tuple(label_set)):
+        if needle in haystack:
+            if found is not None:
+                return None
+            found = label
+    return found
 
 
 def extract_final_number(text: str) -> str | None:
@@ -148,13 +153,10 @@ def predict(
 ) -> tuple[str, str | None]:
     """One greedy forward pass; returns (raw completion, parsed label or None)."""
     request = CompletionRequest(
-        prompt_text=render_forward(prompt_text, input_text, forward_template),
-        max_new_tokens=EVAL_MAX_TOKENS,
-        temperature=EVAL_TEMPERATURE,
-        request_tag=tag,
+        render_forward(prompt_text, input_text, forward_template), EVAL_MAX_TOKENS, EVAL_TEMPERATURE, request_tag=tag
     )
-    result = lm.complete(request)
-    return result.text, parse_label(result.text, label_set)
+    text = lm.complete(request).text
+    return text, parse_label(text, label_set)
 
 
 def score_prompt(
@@ -206,7 +208,7 @@ class ScoreFunction:
         """
         example = self.examples[i]
         raw, parsed = predict(
-            self.lm, prompt_text, example.input_text, self.label_set, self.forward_template, tag=f"{self.tag}/ex{i}"
+            self.lm, prompt_text, example.input_text, self.label_set, self.forward_template, f"{self.tag}/ex{i}"
         )
         if self.kind == ScoreKind.CLASSIFICATION_ACCURACY:
             return parsed == example.gold_label

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -49,7 +50,8 @@ from tsgdm.gateway import (
     ScriptedBackend,
     waits_on_io,
 )
-from tsgdm.optimizer import run_tsgd
+from tsgdm.optimizer import draw_plan, momentum_weights, run_tsgd
+from tsgdm.rng import STREAM_CANDIDATES, substream
 from tsgdm.task import score_prompt
 from conftest import UPDATE_RULES, Recorder, run_trial, trial_doc
 
@@ -829,31 +831,142 @@ def test_only_gradient_mode_sends_batch_forward_passes(mode):
         assert row.gateway_calls == len(task.holdout) * (1 + k * row.iteration) + refines
 
 
+_REFINE_RE = re.compile(r"refine/iter(\d+)/cand(\d+)/block(\d+)")
+
+
+def block_source(config: RunConfig, tag: str) -> int:
+    """The record a momentum refine block is drawn from: the block's entry
+    in its candidate's draw plan."""
+    t, j, b = map(int, _REFINE_RE.fullmatch(tag).groups())
+    if t == 0:
+        return 0
+    gen = config.generation
+    blocks = math.ceil(gen.max_total_tokens / gen.block_tokens)
+    return draw_plan(momentum_weights(gen.alpha, t), blocks, substream(config.seed, STREAM_CANDIDATES, t, j))[b]
+
+
+class EventLog:
+    """Wraps ``inner`` and logs ("start", tag) and ("end", tag) around each call."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.events: list[tuple[str, str]] = []
+        self._lock = threading.Lock()
+
+    def complete(self, request: CompletionRequest) -> CompletionResult:
+        with self._lock:
+            self.events.append(("start", request.request_tag))
+        result = self.inner.complete(request)
+        with self._lock:
+            self.events.append(("end", request.request_tag))
+        return result
+
+    def index(self, kind: str, tag: str) -> int:
+        return self.events.index((kind, tag))
+
+    def refine_starts(self, t: int) -> list[tuple[int, str]]:
+        return [(i, tag) for i, (kind, tag) in enumerate(self.events) if kind == "start" and tag.startswith(f"refine/iter{t}/")]
+
+
 def test_gradient_mode_queues_each_call_after_what_it_reads():
     """At 8 in flight, each analysis starts after every forward pass of its
-    batch has returned, and each refine call after its analysis returned."""
-    events: list[tuple[str, str]] = []
-    lock = threading.Lock()
-    model = TagSensitiveBackend()
-
-    class Logged:
-        def complete(self, request: CompletionRequest) -> CompletionResult:
-            with lock:
-                events.append(("start", request.request_tag))
-            result = model.complete(request)
-            with lock:
-                events.append(("end", request.request_tag))
-            return result
-
+    batch has returned, and each refine block drawn from the round's newest
+    record starts after that analysis returned. A block drawn from an older
+    record may start earlier."""
+    log = EventLog(TagSensitiveBackend())
     config = small_run_config()
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
     with CallPool(8) as pool:
-        run_tsgd(config, task, Logged(), pool=pool)
+        run_tsgd(config, task, log, pool=pool)
+    older = 0
     for t in range(config.total_iterations):
-        analyze = events.index(("start", f"analyze/iter{t}"))
-        analyzed = events.index(("end", f"analyze/iter{t}"))
-        predicts = [i for i, (kind, tag) in enumerate(events) if kind == "end" and tag.startswith(f"predict/iter{t}/")]
-        refines = [i for i, (kind, tag) in enumerate(events) if kind == "start" and tag.startswith(f"refine/iter{t}/")]
+        analyze, analyzed = log.index("start", f"analyze/iter{t}"), log.index("end", f"analyze/iter{t}")
+        predicts = [i for i, (kind, tag) in enumerate(log.events) if kind == "end" and tag.startswith(f"predict/iter{t}/")]
         assert len(predicts) == config.batch_size
         assert max(predicts) < analyze
-        assert refines and min(refines) > analyzed
+        refines = log.refine_starts(t)
+        newest = [i for i, tag in refines if block_source(config, tag) == t]
+        older += len(refines) - len(newest)
+        assert newest and min(newest) > analyzed
+    assert older  # the run drew older records, so both rules were checked
+
+
+def test_older_source_blocks_start_while_the_analysis_runs():
+    """At 8 in flight, a momentum draft sends its blocks drawn from older
+    records before the round's analysis returns. Each analysis of a round
+    >= 1 is held until a refine block of its round arrives, so the check
+    does not rest on timing; a run that held every block back would wait
+    out the timeout instead."""
+    arrived = {t: threading.Event() for t in range(3)}
+
+    class HoldingAnalysis(TagSensitiveBackend):
+        def complete(self, request: CompletionRequest) -> CompletionResult:
+            found = re.match(r"(refine|analyze)/iter(\d+)", request.request_tag)
+            if found:
+                t = int(found[2])
+                if found[1] == "refine":
+                    arrived[t].set()
+                elif t >= 1:
+                    arrived[t].wait(5)
+            return super().complete(request)
+
+    log = EventLog(HoldingAnalysis())
+    config = dataclasses.replace(
+        small_run_config(), total_iterations=3, generation=dataclasses.replace(small_run_config().generation, candidates=6)
+    )
+    task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
+    with CallPool(8) as pool:
+        run_tsgd(config, task, log, pool=pool)
+    early = {
+        t: [tag for i, tag in log.refine_starts(t) if i < log.index("end", f"analyze/iter{t}")]
+        for t in range(1, config.total_iterations)
+    }
+    assert any(early.values())
+    assert all(block_source(config, tag) < t for t, tags in early.items() for tag in tags)
+
+
+def test_parking_stress_matches_the_sequential_run():
+    """Drafts park and the analysis resumes them while threads switch as
+    often as the interpreter allows. A park lost between the check and the
+    gate opening would leave a candidate unwritten, and a draft resumed
+    twice would send extra calls; either changes the result."""
+    task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(4):
+            config = dataclasses.replace(small_run_config(), seed=seed, total_iterations=3)
+            sequential = run_tsgd(config, task, TagSensitiveBackend(delay_s=0.0))
+            with CallPool(12) as pool:
+                assert run_tsgd(config, task, TagSensitiveBackend(delay_s=0.0), pool=pool) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("width", [1, 8])
+def test_a_failed_analysis_ends_the_run_and_leaves_the_pool_clean(width):
+    """An analysis that raises in round 1 ends the run with that error and
+    the rows of the rounds before it, however many older-source blocks are
+    out. No task is left running, nothing reaches the backend afterwards,
+    and the same pool then runs a clean queue."""
+
+    class FailingAnalysis(TagSensitiveBackend):
+        def complete(self, request: CompletionRequest) -> CompletionResult:
+            if request.request_tag == "analyze/iter1":
+                raise NetworkError("analysis lost")
+            return super().complete(request)
+
+    config = small_run_config()
+    task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
+    clean = run_tsgd(config, task, TagSensitiveBackend())
+    backend = FailingAnalysis()
+    with CallPool(width) as pool:
+        with pytest.raises(NetworkError, match="analysis lost") as caught:
+            run_tsgd(config, task, backend, pool=pool)
+        assert caught.value.partial_run_log == clean.per_iteration[:2]
+        calls = backend.calls
+        assert pool._running == 0
+        time.sleep(0.05)
+        assert backend.calls == calls
+        assert pool.map(lambda i: i * i, range(32)) == [i * i for i in range(32)]
+        assert run_tsgd(config, task, TagSensitiveBackend(), pool=pool) == clean

@@ -37,7 +37,7 @@ PINS = {
     ("momentum-case1", 1): ("d3e0b5a47a9f07824f4e55f840e9bf999348fe5594c568d8b3434675b71e635d", "a3f1e49113bf8b0f3fdb05b278e847b35f2ec849786e4e9aa31645e822f4f7e5"),
     ("momentum-case1", 4): ("11d0d6d78eefa06fde6a8bb683cbc32155edc577d75ff8c445d3342af27e0536", "dfff36a553e181854bff9e927cbcfce94eea757e86f951f0b996439c1c3a539c"),
     ("momentum-case2", 1): ("0e3bca05411a13cc999934ca205cece7b80489812df1e20fa5726b91a0d35e40", "5e79fea2035c2f2873f0b273f76b5ccb016142c690763f305430631452cd8493"),
-    ("momentum-case2", 4): ("5d97a83ed2dca511f16b0fec964bf552db47ee3259a7cec9080a7df117445433", "d3a4d45fec4d7378f94eb05c815c057a477b9193918030518adec317a1e6f452"),
+    ("momentum-case2", 4): ("5d97a83ed2dca511f16b0fec964bf552db47ee3259a7cec9080a7df117445433", "6b29bfdbe20d7e817b7e004b4c88039fe36be1c9bb743c099803596edd327c9c"),
     ("vanilla-case1", 1): ("8c2fac1ee4ed04ce93047dd68bd008f922731ced90fcbfe38b7f2dc44abb7f37", "d46d3d9f56929b9c4b0a26a4cbfd87c674b2c9f469b827cf2670eba8a6bb515b"),
     ("vanilla-case1", 4): ("1c592f68c03efa2f9f4c3c0ce6b37dfe8d57098ac03639fab43a9101065a7fba", "ed47bd22bfb7c67fa75c625293b4adf99628ac3f145f8222f05a083d0dfc8a4c"),
     ("vanilla-case2", 1): ("c10e0e16fa1a3bc9be8bc199958b2a05bac9a58fcac7117f1b2d0d99acceea2e", "63de0bbe44de52b13f8a7c942fe656368c77ce705f230585295f86c4f2bc7da9"),
