@@ -471,7 +471,11 @@ class RemoteBackend:
 
     def _parse(self, data: object) -> CompletionResult:
         try:
-            assert isinstance(data, Mapping)
+            if not isinstance(data, Mapping):
+                raise TypeError(f"the body is a {type(data).__name__}, not an object")
+            usage = data.get("usage") or {}
+            if not isinstance(usage, Mapping):
+                raise TypeError(f"usage is a {type(usage).__name__}, not an object")
             choice = data["choices"][0]
             if self.settings.chat:
                 text = choice["message"]["content"]
@@ -480,10 +484,9 @@ class RemoteBackend:
             if text is None:
                 text = ""
             raw_reason = choice.get("finish_reason")
-            usage = data.get("usage") or {}
             prompt_tokens = int(usage.get("prompt_tokens", 0))
             completion_tokens = int(usage.get("completion_tokens", 0))
-        except (AssertionError, KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProtocolError(f"response body missing expected fields: {exc!r}") from exc
         if raw_reason is None:
             reason = FinishReason.STOP

@@ -23,7 +23,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import templates
 from .errors import DomainError, EmptyBatchError, EmptyHistoryError, check_minimums
@@ -38,7 +38,7 @@ from .gateway import (
     Task,
 )
 from .rng import STREAM_BATCH, STREAM_CANDIDATES, RandomStream, substream
-from .task import ScoreFunction, TaskBinding, check_batch, sample_batch, predict
+from .task import LabeledExample, ScoreFunction, TaskBinding, check_batch, predict, sample_batch
 
 Triple = tuple[str, str, str]
 
@@ -224,15 +224,7 @@ class IterationRow:
     completion_tokens: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "selected_prompt": self.selected_prompt,
-            "holdout_score": self.holdout_score,
-            "candidate_scores": list(self.candidate_scores),
-            "selected_candidate_index": self.selected_candidate_index,
-            "gateway_calls": self.gateway_calls,
-            "completion_tokens": self.completion_tokens,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -295,65 +287,6 @@ def _conditioning_text(gen: GenerationParams, record: PromptRecord) -> str:
     return gen.refine_template.format(prompt=record.prompt_text)
 
 
-class _Draft:
-    """A candidate written block by block: block ``b`` asks for up to
-    block_tokens more tokens on the conditioning of its source record,
-    followed by the candidate so far, until the total budget is spent or
-    the backend stops on its own.
-
-    ``sources`` holds the source of every block, and ``conditioning`` renders
-    a source. :meth:`write` sends blocks while ``admits`` lets their source
-    through and returns the candidate, or None at the first block held
-    back; the next :meth:`write` resumes at that block.
-    """
-
-    def __init__(
-        self,
-        sources: Sequence[int],
-        conditioning: Callable[[int], str],
-        gen: GenerationParams,
-        lm: Backend,
-        tag_prefix: str,
-    ) -> None:
-        self.sources = sources
-        self.conditioning = conditioning
-        self.gen = gen
-        self.lm = lm
-        self.tag_prefix = tag_prefix
-        self.parts: list[str] = []
-        self.block = self.produced = 0
-
-    def write(self, admits: Callable[[int], bool] | None = None) -> str | None:
-        gen = self.gen
-        while self.block < len(self.sources):
-            source = self.sources[self.block]
-            if admits is not None and not admits(source):
-                return None
-            budget = min(gen.block_tokens, gen.max_total_tokens - self.produced)
-            request = CompletionRequest(
-                prompt_text=self.conditioning(source) + "".join(self.parts),
-                max_new_tokens=budget,
-                temperature=gen.temperature,
-                request_tag=f"{self.tag_prefix}/block{self.block}",
-            )
-            result = self.lm.complete(request)
-            self.parts.append(result.text)
-            self.produced += budget
-            self.block = self.block + 1 if result.finish_reason is FinishReason.LENGTH else len(self.sources)
-        return "".join(self.parts)
-
-
-def generate_candidate(
-    conditioning: Sequence[str],
-    gen: GenerationParams,
-    lm: Backend,
-    tag_prefix: str,
-) -> str:
-    """One candidate whose block ``b`` is conditioned on ``conditioning[b]``:
-    a :class:`_Draft` with every source ready."""
-    return _Draft(range(len(conditioning)), conditioning.__getitem__, gen, lm, tag_prefix).write()
-
-
 def concat_momentum_prompt(history: Sequence[PromptRecord], template: str) -> str:
     """Conditioning text for the concatenation baseline: every instruction
     of ``history`` joined oldest-first into the history template."""
@@ -390,93 +323,6 @@ def compute_textual_gradient(
 # update step
 
 
-def _candidate_tag(iteration: int, j: int) -> str:
-    return f"refine/iter{iteration}/cand{j}"
-
-
-class _Gate:
-    """Holds back the blocks drawn from record ``newest`` until its error
-    analysis returns. A draft held back parks: it joins ``waiting``, where
-    the candidates not yet started are too, and its task returns, so no
-    pooled task ever waits on the gate. :meth:`open` lets every block
-    through and hands back the waiting candidates in candidate order."""
-
-    def __init__(self, newest: int, waiting: list[int]) -> None:
-        self.newest = newest
-        self.waiting = waiting
-        self.is_open = False
-        self._lock = threading.Lock()
-
-    def admits(self, j: int, source: int) -> bool:
-        """Whether candidate ``j`` may send a block drawn from ``source``;
-        if not, ``j`` is parked."""
-        # is_open only turns true, so a true read needs no lock.
-        if source != self.newest or self.is_open:
-            return True
-        with self._lock:
-            if not self.is_open:
-                self.waiting.append(j)
-            return self.is_open
-
-    def open(self) -> list[int]:
-        with self._lock:
-            self.is_open = True
-            return sorted(self.waiting)
-
-
-def _maker(
-    records: Sequence[PromptRecord],
-    gen: GenerationParams,
-    momentum: bool,
-    root_seed: int,
-    lm: Backend,
-    gate: _Gate | None = None,
-) -> Callable[[int], str | None]:
-    """Maker of candidate ``j`` of round ``t``, the iteration of
-    ``records[-1]``. Its :class:`_Draft` takes each block's source by the
-    update rule:
-
-    - concat: the newest record, whose conditioning is the joined history;
-    - vanilla, or momentum over a single record: the newest record, with no
-      draw;
-    - momentum: the :func:`draw_plan` of candidate ``j``, drawn from its own
-      ``substream(root_seed, STREAM_CANDIDATES, t, j)`` in its first call.
-
-    Each record is rendered once per round, when a block first needs it, so
-    ``records`` may still gain the newest record's error analysis. A call
-    writes the draft as far as ``gate`` admits and returns the candidate,
-    or None where the draft parked; the next call resumes it. Without a
-    gate every source is ready.
-    """
-    if len(records) == 0:
-        raise EmptyHistoryError("an update needs at least one record")
-    newest = len(records) - 1
-    t = records[newest].iteration
-    blocks = math.ceil(gen.max_total_tokens / gen.block_tokens)
-    weights = None
-    if gen.mode is GenerationMode.CONCAT_BASELINE:
-        joined = concat_momentum_prompt(records, gen.refine_template)
-        conditioning = lambda source: joined
-    else:
-        conditioning = functools.cache(lambda source: _conditioning_text(gen, records[source]))
-        if momentum and newest > 0:
-            weights = momentum_weights(gen.alpha, newest)
-
-    drafts: dict[int, _Draft] = {}
-
-    def make(j: int) -> str | None:
-        draft = drafts.get(j)
-        if draft is None:  # the draft's first call draws its plan
-            if weights is None:
-                sources = (newest,) * blocks
-            else:
-                sources = draw_plan(weights, blocks, substream(root_seed, STREAM_CANDIDATES, t, j))
-            draft = drafts[j] = _Draft(sources, conditioning, gen, lm, _candidate_tag(t, j))
-        return draft.write(None if gate is None else functools.partial(gate.admits, j))
-
-    return make
-
-
 def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
     """The winner's index and score, lowest index winning ties, and every
     candidate's score, empty for a lone candidate: it is scored, but there
@@ -485,29 +331,140 @@ def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
     return index, scores[index], scores if len(scores) > 1 else []
 
 
-class _Candidates:
-    """The k candidates of iteration ``t``. :meth:`tasks` writes candidate
-    ``j`` in task ``j``. The task that finishes it returns the candidate's
-    forward passes over ``score``'s examples, tagged
-    ``{score.tag}/iter{t}/cand{j}/ex{i}``, so scoring starts as soon as the
-    candidate is made."""
+class _Round:
+    """Round ``t``, the iteration of ``history[-1]``: in gradient mode the
+    forward passes of ``batch`` and their error analysis, then the k
+    candidates for the next instruction and their holdout passes.
 
-    def __init__(self, k: int, score: ScoreFunction, t: int) -> None:
+    :meth:`tasks` is the round's queue: the batch passes, then one task per
+    candidate. The last batch pass to finish queues the analysis, which
+    adds the batch triples and the error analysis to ``history[-1]``.
+
+    Candidate ``j`` draws its plan, the source record of each block, in its
+    first task: the newest record, except for momentum over several
+    records, which takes the :func:`draw_plan` of its own
+    ``substream(seed, STREAM_CANDIDATES, t, j)``. Block ``b`` asks for up
+    to block_tokens more tokens on its source's conditioning (the joined
+    history in concat mode) followed by the candidate so far, until the
+    budget is spent or the backend stops on its own. Each record is
+    rendered once, when a block first needs it.
+
+    A candidate sends blocks while the next block's source record is
+    complete. Only the newest record in gradient mode is not, until its
+    analysis returns. A task that reaches a block drawn from it parks,
+    returning None rather than waiting, and the analysis queues the parked
+    candidates in candidate order. A finished candidate queues its forward
+    passes over ``score``'s examples, tagged
+    ``{score.tag}/iter{t}/cand{j}/ex{i}``.
+    """
+
+    def __init__(
+        self,
+        history: list[PromptRecord],
+        gen: GenerationParams,
+        momentum: bool,
+        seed: int,
+        lm: Backend,
+        score: ScoreFunction,
+        batch: Sequence[LabeledExample],
+    ) -> None:
+        if len(history) == 0:
+            raise EmptyHistoryError("an update needs at least one record")
+        self.history = history
+        self.gen = gen
+        self.seed = seed
+        self.lm = lm
+        self.score = score
+        self.batch = batch
+        self.newest = len(history) - 1
+        self.t = t = history[-1].iteration
+        self.weights = None
+        if gen.mode is GenerationMode.CONCAT_BASELINE:
+            joined = concat_momentum_prompt(history, gen.refine_template)
+            self.conditioning = lambda source: joined
+        else:
+            self.conditioning = functools.cache(lambda source: _conditioning_text(gen, history[source]))
+            if momentum and self.newest > 0:
+                self.weights = momentum_weights(gen.alpha, self.newest)
+        k = gen.candidates
+        self.plans: list[tuple[int, ...] | None] = [None] * k
+        self.parts: list[list[str]] = [[] for _ in range(k)]
+        self.next = [0] * k
         self.texts = [""] * k
         self.hits = [[False] * len(score.examples) for _ in range(k)]
         self.scorers = [dataclasses.replace(score, tag=f"{score.tag}/iter{t}/cand{j}") for j in range(k)]
+        self.triples: list[Triple | None] = [None] * len(batch)
+        self.remaining = len(batch)
+        self.ready = not batch  # whether the newest record is complete
+        self.parked: list[int] = []
+        self._lock = threading.Lock()
 
-    def tasks(self, make: Callable[[int], str | None]) -> list[Task]:
-        return [functools.partial(self._generate, make, j) for j in range(len(self.texts))]
+    def tasks(self) -> list[Task]:
+        return [functools.partial(self._predict, i) for i in range(len(self.batch))] + [
+            functools.partial(self._candidate, j) for j in range(len(self.texts))
+        ]
 
-    def _generate(self, make: Callable[[int], str | None], j: int) -> list[Task] | None:
-        text = make(j)
-        if text is None:  # parked: the round's analysis queues this task again
+    def _predict(self, i: int) -> list[Task] | None:
+        example, score = self.batch[i], self.score
+        raw, parsed = predict(
+            score.lm, self.history[-1].prompt_text, example.input_text, score.label_set, score.forward_template,
+            tag=f"predict/iter{self.t}/ex{i}",
+        )
+        self.triples[i] = (example.input_text, example.gold_label, parsed if parsed is not None else raw.strip())
+        with self._lock:  # the last pass to finish queues the analysis
+            self.remaining -= 1
+            return None if self.remaining else [self._analyze]
+
+    def _analyze(self) -> list[Task]:
+        record = dataclasses.replace(self.history[-1], batch_triples=tuple(self.triples))
+        gradient = compute_textual_gradient(
+            record, self.gen.analyze_template, self.lm, self.gen, tag=f"analyze/iter{self.t}"
+        )
+        self.history[-1] = dataclasses.replace(record, gradient_text=gradient)
+        with self._lock:
+            self.ready = True
+            return [functools.partial(self._candidate, j) for j in sorted(self.parked)]
+
+    def write(self, j: int) -> str | None:
+        """Send candidate ``j``'s next blocks; return the candidate, or None
+        where it parks. The next call resumes at the parked block."""
+        gen, parts = self.gen, self.parts[j]
+        plan = self.plans[j]
+        if plan is None:  # the candidate's first task draws its plan
+            blocks = math.ceil(gen.max_total_tokens / gen.block_tokens)
+            if self.weights is None:
+                plan = (self.newest,) * blocks
+            else:
+                plan = draw_plan(self.weights, blocks, substream(self.seed, STREAM_CANDIDATES, self.t, j))
+            self.plans[j] = plan
+        while self.next[j] < len(plan):
+            b = self.next[j]
+            # ready only turns true, so a true read needs no lock.
+            if plan[b] == self.newest and not self.ready:
+                with self._lock:
+                    if not self.ready:
+                        self.parked.append(j)
+                        return None
+            result = self.lm.complete(
+                CompletionRequest(
+                    prompt_text=self.conditioning(plan[b]) + "".join(parts),
+                    max_new_tokens=min(gen.block_tokens, gen.max_total_tokens - b * gen.block_tokens),
+                    temperature=gen.temperature,
+                    request_tag=f"refine/iter{self.t}/cand{j}/block{b}",
+                )
+            )
+            parts.append(result.text)
+            self.next[j] = b + 1 if result.finish_reason is FinishReason.LENGTH else len(plan)
+        return "".join(parts)
+
+    def _candidate(self, j: int) -> list[Task] | None:
+        text = self.write(j)
+        if text is None:  # parked: the analysis queues this task again
             return None
         self.texts[j] = text
-        return [functools.partial(self._forward, j, i) for i in range(len(self.hits[j]))]
+        return [functools.partial(self._hit, j, i) for i in range(len(self.hits[j]))]
 
-    def _forward(self, j: int, i: int) -> None:
+    def _hit(self, j: int, i: int) -> None:
         self.hits[j][i] = self.scorers[j].hit(self.texts[j], i)
 
     def select(self) -> tuple[int, float, list[float]]:
@@ -542,18 +499,15 @@ def run_tsgd(
 ) -> RunResult:
     """Optimize ``task.initial_prompt`` for ``config.total_iterations`` rounds.
 
-    Each round makes k candidates for the next instruction; in gradient
+    Each round makes k candidates for the next instruction, written block
+    by block by the update rule as :class:`_Round` describes; in gradient
     mode it first runs the current instruction over a sampled train batch
     and asks the backend for an error analysis. The other modes read only
-    prompt texts, so they draw no batch. Candidate j of round t is one
-    block loop over the conditioning that its update rule picks: the joined
-    history in concat mode, the newest record in vanilla mode, and in
-    momentum mode the records of a draw plan taken from its own
-    ``substream(config.seed, STREAM_CANDIDATES, t, j)``, which nothing else
-    reads. A prompt's score is its mean hit over the holdout split. The run
-    stops early once the best holdout score has gone ``config.patience``
-    consecutive rounds without strict improvement, and always returns the
-    highest-scoring prompt seen, including the initial one.
+    prompt texts, so they draw no batch. A prompt's score is its mean hit
+    over the holdout split. The run stops early once the best holdout score
+    has gone ``config.patience`` consecutive rounds without strict
+    improvement, and always returns the highest-scoring prompt seen,
+    including the initial one.
 
     All randomness descends from ``config.seed``, and sampled requests
     carry it as their ``sample_seed``. A train pool that
@@ -564,37 +518,14 @@ def run_tsgd(
     Every gateway call runs on ``pool``, up to its ``max_inflight`` at
     once. The caller owns the pool: the run neither opens nor closes it, so
     one pool can also serve whatever the caller runs next, such as a test
-    pass. Each iteration is one ``pool.run`` of a queue in which every call
-    is queued as soon as the values it reads exist. Each candidate is a
-    draft that sends its blocks in order while the source record of the
-    next block is complete. Only the round's newest record in gradient mode
-    is incomplete: its blocks wait for its error analysis.
-
-    - In case1 and concat mode the queue starts with the k drafts, which
-      never wait.
-    - In gradient mode it starts with the batch forward passes, and in
-      momentum mode after round 0 with the k drafts behind them. A draft
-      that reaches a block drawn from the newest record before the analysis
-      has returned parks: its task returns, so no pooled task ever waits.
-      The last forward pass to finish queues the analysis. The analysis
-      queues the parked drafts, in vanilla mode and in round 0 all k
-      drafts, in candidate order.
-
-    As soon as candidate j is complete, its |holdout| forward passes join
-    the queue. The round's record is appended to the history as the round
-    starts; in gradient mode the analysis adds its batch triples and error
-    analysis.
-
-    Every request and its place in the result are fixed before it is sent,
-    so the result is byte-identical at every pool width. The default,
+    pass. Each round is one ``pool.run`` of a :class:`_Round` queue, in
+    which every call is queued as soon as the values it reads exist. Every
+    request and its place in the result are fixed before it is sent, so the
+    result is byte-identical at every pool width. The default,
     :data:`SEQUENTIAL`, has width 1 and runs each queue in order in the
-    caller's thread. In case1 and concat mode that is the k drafts, then
-    the holdout passes by candidate and example. In gradient mode it is the
-    forward passes, the analysis, the k drafts, then the holdout passes;
-    after round 0 momentum mode instead runs the forward passes, each draft
-    up to its first block drawn from the newest record, the analysis, the
-    holdout passes of the drafts that never drew it, the rest of the parked
-    drafts and then their holdout passes.
+    caller's thread: the batch passes, each candidate up to its first block
+    drawn from the newest record before the analysis, the analysis, then
+    the holdout passes and the parked candidates in the order they joined.
     """
     counter = CallCounter(_RunDraws(lm, config.seed), max_calls=max_lm_calls)
     gen = config.generation
@@ -626,52 +557,19 @@ def run_tsgd(
         stale = 0
         for t in range(config.total_iterations):
             history.append(PromptRecord(iteration=t, prompt_text=current_prompt))
-            pick = _Candidates(gen.candidates, score, t)
-            if gen.mode is not GenerationMode.CASE2_GRADIENT:
-                pool.run(pick.tasks(_maker(history, gen, config.use_momentum, config.seed, counter)))
-            else:
-                # Only a momentum draft over several records can draw an older
-                # record, so only those start early; the analysis starts the rest.
-                early = config.use_momentum and t > 0
-                gate = _Gate(t, [] if early else list(range(gen.candidates)))
-                drafts = pick.tasks(_maker(history, gen, config.use_momentum, config.seed, counter, gate))
+            batch = ()
+            if gen.mode is GenerationMode.CASE2_GRADIENT:
                 batch = sample_batch(
                     train,
                     config.batch_size,
                     substream(config.seed, STREAM_BATCH, t),
                     with_replacement=config.sample_with_replacement,
                 )
-                triples: list[Triple | None] = [None] * len(batch)
-                remaining = len(batch)
-                counted = threading.Lock()
-
-                def forward(i: int) -> list[Task] | None:
-                    nonlocal remaining
-                    example = batch[i]
-                    raw, parsed = predict(
-                        counter, current_prompt, example.input_text, task.label_set, task.forward_template,
-                        tag=f"predict/iter{t}/ex{i}",
-                    )
-                    prediction = parsed if parsed is not None else raw.strip()
-                    triples[i] = (example.input_text, example.gold_label, prediction)
-                    with counted:  # the last pass to finish queues the analysis
-                        remaining -= 1
-                        last = not remaining
-                    return [analyze] if last else None
-
-                def analyze() -> list[Task]:
-                    record = dataclasses.replace(history[-1], batch_triples=tuple(triples))
-                    gradient = compute_textual_gradient(
-                        record, gen.analyze_template, counter, gen, tag=f"analyze/iter{t}"
-                    )
-                    history[-1] = dataclasses.replace(record, gradient_text=gradient)
-                    return [drafts[j] for j in gate.open()]
-
-                pool.run([functools.partial(forward, i) for i in range(len(batch))] + (drafts if early else []))
-            index, value, cand_scores = pick.select()
-            next_prompt = pick.texts[index]
-            snapshot(t + 1, next_prompt, value, cand_scores, index)
-            current_prompt = next_prompt
+            step = _Round(history, gen, config.use_momentum, config.seed, counter, score, batch)
+            pool.run(step.tasks())
+            index, value, cand_scores = step.select()
+            current_prompt = step.texts[index]
+            snapshot(t + 1, current_prompt, value, cand_scores, index)
 
             if value > best:
                 best = value

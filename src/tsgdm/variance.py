@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -112,15 +112,7 @@ class VarianceCell:
     flagged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "horizon": self.horizon,
-            "theory_mse": self.theory_mse,
-            "empirical_mse": self.empirical_mse,
-            "std_error": self.std_error,
-            "baseline_mse": self.baseline_mse,
-            "flagged": self.flagged,
-        }
+        return asdict(self)
 
 
 def variance_report(

@@ -1,16 +1,26 @@
 """Shared test helpers: scripted backends, a recorder of the requests a
-backend is sent, scripted holdout scores, and one-trial CLI runs of each
-update rule."""
+backend is sent, scripted holdout scores, candidates written outside a run,
+and one-trial CLI runs of each update rule."""
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
 import tsgdm.cli as cli
-from tsgdm import CompletionRequest, CompletionResult, FinishReason, ScriptRule, ScriptedBackend, synthetic_binding
+from tsgdm import (
+    CompletionRequest,
+    CompletionResult,
+    FinishReason,
+    ScoreFunction,
+    ScriptRule,
+    ScriptedBackend,
+    synthetic_binding,
+)
 from tsgdm.cli import parse_config_data, run_experiment
+from tsgdm.optimizer import _Round
 
 
 def make_marker_backend(extra_rules=()) -> ScriptedBackend:
@@ -61,6 +71,16 @@ class HoldoutHits:
         right = i < self.hits.get(request.prompt_text.split("\n", 1)[0], 0)
         text = f" {self.holdout[i].gold_label}" if right else " none"
         return CompletionResult(text=text, finish_reason=FinishReason.STOP)
+
+
+def write_candidates(history, gen, backend, momentum=True, seed=0, js=(0,)) -> list:
+    """Candidates ``js`` of the round over ``history``, written in that
+    order by one ``_Round`` with no batch and no holdout; ``gen`` is
+    widened to hold every index in ``js``."""
+    if max(js) >= gen.candidates:
+        gen = dataclasses.replace(gen, candidates=max(js) + 1)
+    step = _Round(history, gen, momentum, seed, backend, ScoreFunction((), backend), ())
+    return [step.write(j) for j in js]
 
 
 @pytest.fixture

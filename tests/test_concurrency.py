@@ -835,11 +835,11 @@ _REFINE_RE = re.compile(r"refine/iter(\d+)/cand(\d+)/block(\d+)")
 
 
 def block_source(config: RunConfig, tag: str) -> int:
-    """The record a momentum refine block is drawn from: the block's entry
-    in its candidate's draw plan."""
+    """The record a refine block is drawn from: the newest for vanilla and
+    in round 0, else the block's entry in its candidate's draw plan."""
     t, j, b = map(int, _REFINE_RE.fullmatch(tag).groups())
-    if t == 0:
-        return 0
+    if t == 0 or not config.use_momentum:
+        return t
     gen = config.generation
     blocks = math.ceil(gen.max_total_tokens / gen.block_tokens)
     return draw_plan(momentum_weights(gen.alpha, t), blocks, substream(config.seed, STREAM_CANDIDATES, t, j))[b]
@@ -868,13 +868,14 @@ class EventLog:
         return [(i, tag) for i, (kind, tag) in enumerate(self.events) if kind == "start" and tag.startswith(f"refine/iter{t}/")]
 
 
-def test_gradient_mode_queues_each_call_after_what_it_reads():
+@pytest.mark.parametrize("use_momentum", [True, False])
+def test_gradient_mode_queues_each_call_after_what_it_reads(use_momentum):
     """At 8 in flight, each analysis starts after every forward pass of its
     batch has returned, and each refine block drawn from the round's newest
-    record starts after that analysis returned. A block drawn from an older
-    record may start earlier."""
+    record starts after that analysis returned. A momentum block drawn from
+    an older record may start earlier; vanilla draws only the newest."""
     log = EventLog(TagSensitiveBackend())
-    config = small_run_config()
+    config = dataclasses.replace(small_run_config(), use_momentum=use_momentum)
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
     with CallPool(8) as pool:
         run_tsgd(config, task, log, pool=pool)
@@ -888,11 +889,12 @@ def test_gradient_mode_queues_each_call_after_what_it_reads():
         newest = [i for i, tag in refines if block_source(config, tag) == t]
         older += len(refines) - len(newest)
         assert newest and min(newest) > analyzed
-    assert older  # the run drew older records, so both rules were checked
+    # A momentum run drew older records, so both rules were checked.
+    assert bool(older) == use_momentum
 
 
 def test_older_source_blocks_start_while_the_analysis_runs():
-    """At 8 in flight, a momentum draft sends its blocks drawn from older
+    """At 8 in flight, a momentum candidate sends its blocks drawn from older
     records before the round's analysis returns. Each analysis of a round
     >= 1 is held until a refine block of its round arrives, so the check
     does not rest on timing; a run that held every block back would wait
@@ -926,10 +928,11 @@ def test_older_source_blocks_start_while_the_analysis_runs():
 
 
 def test_parking_stress_matches_the_sequential_run():
-    """Drafts park and the analysis resumes them while threads switch as
-    often as the interpreter allows. A park lost between the check and the
-    gate opening would leave a candidate unwritten, and a draft resumed
-    twice would send extra calls; either changes the result."""
+    """Candidates park and the analysis resumes them while threads switch
+    as often as the interpreter allows. A park lost between the check and
+    the analysis marking its record ready would leave a candidate
+    unwritten, and a candidate resumed twice would send extra calls; either
+    changes the result."""
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,8 +1,8 @@
 """The public surface: ``from tsgdm import *`` works, ``__all__`` names
 each export once, the names the one update rule, the one scoring path and
 the one backend settings class replaced stay gone, so do the history and
-weight wrappers, the record's unread score and the scripted call log, and
-README's code runs."""
+weight wrappers, the record's unread score, the scripted call log and the
+round helpers that ``_Round`` folded in, and README's code runs."""
 
 from __future__ import annotations
 
@@ -34,6 +34,11 @@ REMOVED = {
         "ScoreFn",
         "OptimizerHistory",
         "WeightVector",
+        "_Draft",
+        "_Gate",
+        "_maker",
+        "_Candidates",
+        "generate_candidate",
     ),
     tsgdm.task: ("binding_from_preset", "score_prompts"),
     tsgdm.gateway: ("RemoteConfig",),

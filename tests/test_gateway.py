@@ -391,6 +391,12 @@ class TestRemoteBackend:
         with pytest.raises(ProtocolError):
             backend.complete(REQ)
 
+    @pytest.mark.parametrize("usage", [[1], "n/a", 3])
+    def test_usage_that_is_not_an_object_is_protocol_error(self, usage):
+        backend, _, _ = make_remote([FakeResponse(200, body={**chat_body("ok"), "usage": usage})])
+        with pytest.raises(ProtocolError, match="usage"):
+            backend.complete(REQ)
+
     def test_non_json_body_is_protocol_error(self):
         backend, _, _ = make_remote([FakeResponse(200, body=None, text="<html>")])
         with pytest.raises(ProtocolError):

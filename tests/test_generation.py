@@ -1,9 +1,8 @@
-"""Candidate generation: block loop, draw plans, momentum sampling, concat
-baseline, textual gradients."""
+"""Candidate generation: a candidate's blocks, draw plans, momentum
+sampling, concat baseline, textual gradients. Candidates are written by
+:func:`conftest.write_candidates`."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +26,9 @@ from tsgdm import (
     substream,
 )
 from tsgdm import optimizer
-from tsgdm.optimizer import _maker, draw_plan, generate_candidate
+from tsgdm.optimizer import draw_plan
 from tsgdm.rng import STREAM_CANDIDATES
-from conftest import Recorder
+from conftest import Recorder, write_candidates
 
 
 def history_of(*prompts, gradients=None):
@@ -56,7 +55,7 @@ class TestGenerationParams:
 
     def test_an_unset_temperature_is_refused_at_the_first_request(self):
         with pytest.raises(DomainError, match="temperature must be >= 0, got None"):
-            generate_candidate(["base"], case1(temperature=None), ScriptedBackend(), "refine")
+            vanilla(BASE, case1(temperature=None), ScriptedBackend())
 
     def test_mode_string_coerced(self):
         gen = case1(mode="case2_gradient")
@@ -88,22 +87,30 @@ class TestGenerationParams:
         assert case1(refine_template="{prompt} {{braces}}").refine_template == "{prompt} {{braces}}"
 
 
-def blocks_of(text, gen):
-    """Conditioning ``text`` for every block of a candidate under ``gen``."""
-    return (text,) * math.ceil(gen.max_total_tokens / gen.block_tokens)
+BASE = PromptRecord(0, "base")
+
+
+def vanilla(record, gen, backend):
+    """Candidate 0 of the vanilla update on ``record``."""
+    return write_candidates([record], gen, backend, momentum=False)[0]
+
+
+def momentum(history, gen, seed, backend, j=0):
+    """Candidate ``j`` of the momentum update over ``history``."""
+    return write_candidates(history, gen, backend, seed=seed, js=(j,))[0]
 
 
 class TestBlockLoop:
     def test_three_length_blocks_concatenate(self):
         backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "STEP ", finish_reason=FinishReason.LENGTH)]))
-        out = generate_candidate(blocks_of("base", case1()), case1(), backend, "refine")
+        out = vanilla(BASE, case1(), backend)
         assert out == "STEP STEP STEP "
         assert len(backend.requests) == 3
         assert [r.max_new_tokens for r in backend.requests] == [4, 4, 4]
 
     def test_partial_candidate_threaded_as_continuation(self):
         backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "STEP ", finish_reason=FinishReason.LENGTH)]))
-        generate_candidate(blocks_of("base", case1()), case1(), backend, "refine")
+        vanilla(BASE, case1(), backend)
         first, second, third = [r.prompt_text for r in backend.requests]
         assert second == first + "STEP "
         assert third == first + "STEP STEP "
@@ -111,43 +118,33 @@ class TestBlockLoop:
     def test_last_block_gets_remainder_budget(self):
         backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "x ", finish_reason=FinishReason.LENGTH)]))
         gen = case1(max_total_tokens=10, block_tokens=4)
-        generate_candidate(blocks_of("base", gen), gen, backend, "refine")
+        vanilla(BASE, gen, backend)
         assert [r.max_new_tokens for r in backend.requests] == [4, 4, 2]
 
     def test_stop_finish_ends_generation(self):
         backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "A", finish_reason=FinishReason.STOP)]))
-        out = generate_candidate(blocks_of("base", case1()), case1(), backend, "refine")
+        out = vanilla(BASE, case1(), backend)
         assert out == "A"
         assert len(backend.requests) == 1
 
     def test_eos_finish_ends_generation(self):
         backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "B", finish_reason=FinishReason.EOS)]))
-        out = generate_candidate(blocks_of("base", case1()), case1(), backend, "refine")
+        out = vanilla(BASE, case1(), backend)
         assert out == "B"
         assert len(backend.requests) == 1
 
     def test_single_block_when_block_equals_budget(self):
         backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "full", finish_reason=FinishReason.LENGTH)]))
         gen = case1(max_total_tokens=8, block_tokens=8)
-        generate_candidate(blocks_of("base", gen), gen, backend, "refine")
+        vanilla(BASE, gen, backend)
         assert len(backend.requests) == 1
         assert backend.requests[0].max_new_tokens == 8
 
     def test_requests_carry_generation_temperature(self):
         backend = Recorder(ScriptedBackend())
         gen = case1(temperature=1.1)
-        generate_candidate(blocks_of("base", gen), gen, backend, "refine")
+        vanilla(BASE, gen, backend)
         assert backend.requests[0].temperature == 1.1
-
-
-def vanilla(record, gen, backend):
-    """Candidate 0 of the vanilla update on ``record``."""
-    return _maker([record], gen, False, 0, backend)(0)
-
-
-def momentum(history, gen, seed, backend, j=0):
-    """Candidate ``j`` of the momentum update over ``history``."""
-    return _maker(history, gen, True, seed, backend)(j)
 
 
 class TestVanillaConditioning:

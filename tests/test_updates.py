@@ -1,7 +1,8 @@
 """Update steps: candidate selection, tie-breaks, degeneracy.
 
-One maker serves every rule (:func:`tsgdm.optimizer._maker`); selection is
-checked through :func:`run_tsgd` and :func:`tsgdm.optimizer._argmax`.
+One round object serves every rule; candidates are written outside a run by
+:func:`conftest.write_candidates`, and selection is checked through
+:func:`run_tsgd` and :func:`tsgdm.optimizer._argmax`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from tsgdm import (
     synthetic_binding,
 )
 from tsgdm.gateway import CallPool
-from tsgdm.optimizer import _argmax, _maker
+from tsgdm.optimizer import _argmax
 from tsgdm.rng import STREAM_CANDIDATES
-from conftest import HoldoutHits, Recorder
+from conftest import HoldoutHits, Recorder, write_candidates
 
 
 class TagBackend:
@@ -98,7 +99,7 @@ def chain_backend():
 class TestUpdateMom:
     def test_empty_history(self):
         with pytest.raises(EmptyHistoryError):
-            _maker((), gen_with(1), True, 0, ScriptedBackend())
+            write_candidates((), gen_with(1), ScriptedBackend())
 
     def test_k3_argmax(self, tiny_task):
         hits = {"cand-a": 1, "cand-b": 5, "cand-c": 3}
@@ -133,9 +134,7 @@ class TestUpdateMom:
         logs = []
         for _ in range(2):
             backend = Recorder(ScriptedBackend(rules=[ScriptRule("SEED-A", "a "), ScriptRule("SEED-B", "b ")]))
-            make = _maker(history_of("SEED-A", "SEED-B"), gen_with(8, alpha=1.0), True, 123, backend)
-            for j in range(8):
-                make(j)
+            write_candidates(history_of("SEED-A", "SEED-B"), gen_with(8, alpha=1.0), backend, seed=123, js=range(8))
             logs.append([r.prompt_text for r in backend.requests])
         assert logs[0] == logs[1]
         sources = {("SEED-A" in p, "SEED-B" in p) for p in logs[0]}
@@ -180,17 +179,13 @@ class TestUpdateVanilla:
         assert len([r for r in backend.requests if r.request_tag.startswith("refine/")]) == 20
 
 
-def made(make, k):
-    return [make(j) for j in range(k)]
-
-
 class TestAlphaZeroDegeneracy:
     def test_update_level_call_logs_identical(self):
         history = history_of("SEED-A", "SEED-B")
         mom_backend = Recorder(chain_backend())
         van_backend = Recorder(chain_backend())
-        mom = made(_maker(history, gen_with(3, alpha=0.0), True, 77, mom_backend), 3)
-        van = made(_maker(history, gen_with(3, alpha=0.0), False, 77, van_backend), 3)
+        mom = write_candidates(history, gen_with(3, alpha=0.0), mom_backend, seed=77, js=range(3))
+        van = write_candidates(history, gen_with(3, alpha=0.0), van_backend, False, 77, range(3))
         assert mom == van == ["cand-from-B"] * 3
         assert mom_backend.requests == van_backend.requests
 
@@ -198,8 +193,8 @@ class TestAlphaZeroDegeneracy:
     def test_over_one_record_momentum_is_vanilla_at_any_alpha(self, alpha):
         mom_backend = Recorder(chain_backend())
         van_backend = Recorder(chain_backend())
-        mom = made(_maker(history_of("SEED-A"), gen_with(3, alpha=alpha), True, 5, mom_backend), 3)
-        van = made(_maker(history_of("SEED-A"), gen_with(3, alpha=alpha), False, 5, van_backend), 3)
+        mom = write_candidates(history_of("SEED-A"), gen_with(3, alpha=alpha), mom_backend, seed=5, js=range(3))
+        van = write_candidates(history_of("SEED-A"), gen_with(3, alpha=alpha), van_backend, False, 5, range(3))
         assert mom == van
         assert mom_backend.requests == van_backend.requests
 
@@ -207,11 +202,11 @@ class TestAlphaZeroDegeneracy:
 class TestUpdateConcat:
     def test_conditioning_contains_all_history(self):
         backend = Recorder(ScriptedBackend(default_response="next"))
-        _maker(history_of("alpha-p", "beta-p", "gamma-p"), gen_with(1, mode="concat_baseline"), True, 0, backend)(0)
+        write_candidates(history_of("alpha-p", "beta-p", "gamma-p"), gen_with(1, mode="concat_baseline"), backend)
         rendered = backend.requests[0].prompt_text
         assert "alpha-p\nbeta-p\ngamma-p" in rendered
         assert "Here are the past iterations of this variable" in rendered
 
     def test_empty_history(self):
         with pytest.raises(EmptyHistoryError):
-            _maker((), gen_with(1, mode="concat_baseline"), True, 0, ScriptedBackend())
+            write_candidates((), gen_with(1, mode="concat_baseline"), ScriptedBackend())
