@@ -17,8 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, get_args, get_origin
 
-import yaml
-
 # The config classes and parsers are re-exported: callers import them from here.
 from .config import (  # noqa: F401
     DEFAULT_SCRIPTED_RESPONSE,
@@ -31,13 +29,13 @@ from .config import (  # noqa: F401
     axis_run,
     choices_of,
     field_type,
+    load_document,
     parse_config,
     parse_config_data,
 )
 from .errors import ConfigError, TsgdmError
 from .gateway import (
     Backend,
-    CacheMode,
     CachingBackend,
     CallPool,
     RemoteBackend,
@@ -116,14 +114,14 @@ def build_cache(settings: BackendSettings) -> ReplayCache | None:
     which a recorded file must match: a digest does not cover the model."""
     if settings.cache_mode == "off":
         return None
-    mode, path = CacheMode(settings.cache_mode), settings.cache_path
+    replay, path = settings.cache_mode == "replay", settings.cache_path
     identity = {name: getattr(settings, name) for name in ("kind", "base_url", "model", "chat")}
-    exists = bool(path) and Path(path).exists()
-    if mode is CacheMode.PASSTHROUGH or (mode is CacheMode.RECORD and not exists):
-        return ReplayCache(mode=mode, backend=identity)
+    exists = Path(path).exists()
+    if not (replay or exists):
+        return ReplayCache(backend=identity)
     if not exists:
         raise ConfigError(f"backend.cache_path: replay needs an existing file, got {path!r}")
-    cache = ReplayCache.load(path, mode=mode)
+    cache = ReplayCache.load(path, replay=replay)
     if cache.backend != identity:
         recorded = "no backend header" if cache.backend is None else f"backend {_describe(cache.backend)}"
         raise ConfigError(
@@ -158,22 +156,14 @@ def _run_one_trial(
                 result.best_prompt,
                 task.test,
                 backend,
-                task.score_kind,
+                task.exact_match,
                 task.label_set,
                 task.forward_template,
                 tag="test",
                 pool=pool,
             )
         return {
-            "trial": trial,
-            "seed": seed,
-            "status": "complete",
-            "stop_reason": result.stop_reason.value,
-            "best_prompt": result.best_prompt,
-            "best_holdout_score": result.best_score,
-            "final_test_accuracy": final_test,
-            "total_lm_calls": result.total_lm_calls,
-            "per_iteration": [row.to_dict() for row in result.per_iteration],
+            "trial": trial, "seed": seed, "status": "complete", "final_test_accuracy": final_test, **result.to_dict()
         }
     except TsgdmError as exc:
         partial = getattr(exc, "partial_run_log", ())
@@ -204,7 +194,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> dict:
         else:
             trials = [_run_one_trial(config, task, cache, i) for i in indices]
     finally:
-        if cache is not None and config.backend.cache_mode == "record" and config.backend.cache_path:
+        if cache is not None and not cache.replay:
             cache.save(config.backend.cache_path)
 
     log_lines = []
@@ -315,17 +305,14 @@ def run_sweep(config: ExperimentConfig, echo=print) -> list[dict]:
 # argument plumbing
 
 
-def _load_config_document(path: str | None) -> Any:
+def _load_config_document(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    try:
-        return yaml.safe_load(text) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config: not valid YAML/JSON: {exc}") from exc
+    return load_document(text)
 
 
 def _set_path(data: dict, dotted: str, value: Any) -> None:
@@ -417,8 +404,6 @@ def _add_flags(parser: argparse.ArgumentParser, flags: Sequence[tuple[str, str]]
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data = _load_config_document(args.config)
-    if not isinstance(data, dict):
-        raise ConfigError("config: top level must be a mapping")
     for dest, (dotted, _, to_value) in _FLAGS.items():
         value = getattr(args, dest, None)
         if value is not None:

@@ -8,8 +8,9 @@ own rules, for Python callers and the CLI alike: a preset fills the
 patience and temperature left unset and refuses a conflict (``RunConfig``),
 the backend's limits and a cache's need for a file live in
 ``BackendSettings``, which ``RemoteBackend`` reads as its only settings,
-and the trial counts in ``ExperimentConfig``. The parser adds only the sweep
-rules, which read the ``sweep`` and ``run`` sections together.
+and the trial counts and seeds in ``ExperimentConfig``. The parser adds
+only the sweep rules, which read the ``sweep`` and ``run`` sections
+together.
 """
 
 from __future__ import annotations
@@ -79,9 +80,8 @@ class BackendSettings:
     unchanged; ``parallel_trials`` multiplies it. A trial whose backend
     never waits on I/O runs sequentially whatever ``max_inflight`` says,
     since threads would only contend for the interpreter: the scripted
-    backend and a replay cache declare so, while a record or passthrough
-    cache waits as its inner backend does, and any other backend keeps
-    ``max_inflight``.
+    backend and a replay cache declare so, while a record cache waits as
+    its inner backend does, and any other backend keeps ``max_inflight``.
 
     A record or replay file carries ``kind``, ``base_url``, ``model`` and
     ``chat`` in its header, and only loads under the same four.
@@ -96,7 +96,7 @@ class BackendSettings:
     chat: bool = True
     max_attempts: int = 4
     max_inflight: int = 24
-    cache_mode: Literal["off", "record", "replay", "passthrough"] = "off"
+    cache_mode: Literal["off", "record", "replay"] = "off"
     cache_path: str | None = None
     scripted_rules: tuple[ScriptRule, ...] = DEFAULT_SCRIPTED_RULES
     scripted_default_response: str = DEFAULT_SCRIPTED_RESPONSE
@@ -105,7 +105,7 @@ class BackendSettings:
         if self.timeout_s <= 0:
             raise DomainError(f"timeout_s must be > 0, got {self.timeout_s}")
         check_minimums(self, max_attempts=1, max_inflight=1)
-        if self.cache_mode in ("record", "replay") and not self.cache_path:
+        if self.cache_mode != "off" and not self.cache_path:
             raise DomainError(f"cache_path: required for cache_mode {self.cache_mode!r}")
 
 
@@ -136,6 +136,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_minimums(self, trials=1, parallel_trials=1, max_gateway_calls=0)
+        if self.run.seed:
+            raise DomainError(
+                f"run.seed: trial i runs with seed_base + i, so set seed_base instead; got {self.run.seed}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +273,14 @@ def axis_run(run: RunConfig, axis: SweepAxis, value: float) -> RunConfig:
 
 
 def _check_sweep(sweep: SweepSettings, run: RunConfig) -> None:
-    """Refuse a sweep whose values would all run the same trial, or one of
-    whose values its field refuses."""
+    """Refuse a sweep whose values would all run the same trial, one that
+    repeats a value, or one of whose values its field refuses."""
     axis, mode = sweep.axis, run.generation.mode
     if not sweep.values:
         raise ConfigError("sweep.values: expected a nonempty list")
+    for i, value in enumerate(sweep.values):
+        if value in sweep.values[:i]:
+            raise ConfigError(f"sweep.values[{i}]: {value!r} repeats an earlier value")
     if axis in (SweepAxis.BATCH_SIZE, SweepAxis.TRAIN_SIZE):
         for i, value in enumerate(sweep.values):
             if not value.is_integer():
@@ -305,10 +312,20 @@ def parse_config_data(data: Any) -> ExperimentConfig:
     return config
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a YAML or JSON config document."""
+def load_document(text: str) -> dict:
+    """The mapping of a YAML or JSON config document: an empty document is
+    an empty mapping, and any other value that is not a mapping is refused."""
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: not valid YAML/JSON: {exc}") from exc
-    return parse_config_data(data)
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"config: expected a mapping, got {type(data).__name__}")
+    return data
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse a YAML or JSON config document."""
+    return parse_config_data(load_document(text))

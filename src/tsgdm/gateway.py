@@ -334,26 +334,20 @@ class ScriptedBackend:
     """Deterministic offline backend.
 
     The first matching rule wins; with no match the backend answers
-    ``default_response``. The rules are only read, so the backend is safe
-    to share across threads.
+    ``default_response`` with a stop. The rules are only read, so the
+    backend is safe to share across threads.
     """
 
     # Answers from memory: threads would only contend for the interpreter.
     waits_on_io = False
 
-    def __init__(
-        self,
-        rules: Iterable[ScriptRule] = (),
-        default_response: str = "",
-        default_finish_reason: FinishReason = FinishReason.STOP,
-    ) -> None:
+    def __init__(self, rules: Iterable[ScriptRule] = (), default_response: str = "") -> None:
         self.rules = list(rules)
         self.default_response = default_response
-        self.default_finish_reason = FinishReason(default_finish_reason)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         text = self.default_response
-        reason = self.default_finish_reason
+        reason = FinishReason.STOP
         for rule in self.rules:
             hit = request.prompt_text == rule.pattern if rule.exact else rule.pattern in request.prompt_text
             if hit:
@@ -546,14 +540,9 @@ class RemoteBackend:
 # record/replay cache
 
 
-class CacheMode(str, Enum):
-    RECORD = "record"
-    REPLAY = "replay"
-    PASSTHROUGH = "passthrough"
-
-
 class ReplayCache:
-    """Digest-keyed store of completion results.
+    """Digest-keyed store of completion results, which records unless
+    ``replay`` is set.
 
     Record mode answers a digest it has seen before from the store without a
     second inner call, so a recorded run is self-consistent and replays
@@ -571,11 +560,11 @@ class ReplayCache:
 
     def __init__(
         self,
-        mode: CacheMode | str = CacheMode.RECORD,
+        replay: bool = False,
         entries: Mapping[str, CompletionResult] | None = None,
         backend: Mapping[str, object] | None = None,
     ) -> None:
-        self.mode = CacheMode(mode)
+        self.replay = replay
         self.entries: dict[str, CompletionResult] = dict(entries or {})
         self.backend = None if backend is None else dict(backend)
         self._lock = threading.RLock()
@@ -650,7 +639,7 @@ class ReplayCache:
         os.replace(temp, path)
 
     @classmethod
-    def load(cls, path: str | Path, mode: CacheMode | str = CacheMode.REPLAY) -> "ReplayCache":
+    def load(cls, path: str | Path, replay: bool = True) -> "ReplayCache":
         entries: dict[str, CompletionResult] = {}
         backend = None
         text = Path(path).read_text(encoding="utf-8")
@@ -670,12 +659,12 @@ class ReplayCache:
                 )
             except (ValueError, KeyError, TypeError) as exc:
                 raise ProtocolError(f"{path}:{lineno}: bad cache line: {exc!r}") from exc
-        return cls(mode=mode, entries=entries, backend=backend)
+        return cls(replay=replay, entries=entries, backend=backend)
 
 
 class CachingBackend:
     """Backend view that routes each request through ``cache`` in front of
-    ``inner``, as the cache's mode says."""
+    ``inner``: a replay cache answers from its store, any other records."""
 
     def __init__(self, cache: ReplayCache, inner: Backend) -> None:
         self.cache = cache
@@ -683,14 +672,12 @@ class CachingBackend:
 
     @property
     def waits_on_io(self) -> bool:
-        # Replay answers from the store alone; the other modes call ``inner``.
-        return self.cache.mode is not CacheMode.REPLAY and waits_on_io(self.inner)
+        # Replay answers from the store alone; record calls ``inner``.
+        return not self.cache.replay and waits_on_io(self.inner)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        if self.cache.mode is CacheMode.PASSTHROUGH:
-            return self.inner.complete(request)
         digest = request.digest()
-        if self.cache.mode is CacheMode.REPLAY:
+        if self.cache.replay:
             found = self.cache.lookup(digest)
             if found is None:
                 raise CacheMissError(f"no cached result for digest {digest}")

@@ -256,7 +256,7 @@ class RunResult:
     def to_dict(self) -> dict:
         return {
             "best_prompt": self.best_prompt,
-            "best_score": self.best_score,
+            "best_holdout_score": self.best_score,
             "stop_reason": self.stop_reason.value,
             "total_lm_calls": self.total_lm_calls,
             "per_iteration": [row.to_dict() for row in self.per_iteration],
@@ -298,17 +298,16 @@ def concat_momentum_prompt(history: Sequence[PromptRecord], template: str) -> st
 
 def compute_textual_gradient(
     current: PromptRecord,
-    analyze_template: str,
     lm: Backend,
     gen: GenerationParams,
     tag: str = "analyze",
 ) -> str:
     """Ask the backend to write an error analysis of ``current`` from its own
-    batch triples."""
+    batch triples, through ``gen.analyze_template``."""
     if not current.batch_triples:
         raise EmptyBatchError(f"record {current.iteration} has an empty batch")
     request = CompletionRequest(
-        prompt_text=analyze_template.format(
+        prompt_text=gen.analyze_template.format(
             prompt=current.prompt_text,
             examples=templates.format_triples(current.batch_triples),
         ),
@@ -417,9 +416,7 @@ class _Round:
 
     def _analyze(self) -> list[Task]:
         record = dataclasses.replace(self.history[-1], batch_triples=tuple(self.triples))
-        gradient = compute_textual_gradient(
-            record, self.gen.analyze_template, self.lm, self.gen, tag=f"analyze/iter{self.t}"
-        )
+        gradient = compute_textual_gradient(record, self.lm, self.gen, tag=f"analyze/iter{self.t}")
         self.history[-1] = dataclasses.replace(record, gradient_text=gradient)
         with self._lock:
             self.ready = True

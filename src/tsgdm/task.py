@@ -12,7 +12,6 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -35,11 +34,6 @@ class LabeledExample:
 
     input_text: str
     gold_label: str
-
-
-class ScoreKind(str, Enum):
-    CLASSIFICATION_ACCURACY = "classification_accuracy"
-    EXACT_MATCH = "exact_match"
 
 
 def normalize_text(text: str) -> str:
@@ -163,7 +157,7 @@ def score_prompt(
     prompt_text: str,
     examples: Sequence[LabeledExample],
     lm: Backend,
-    kind: ScoreKind = ScoreKind.CLASSIFICATION_ACCURACY,
+    exact_match: bool = False,
     label_set: Sequence[str] = (),
     forward_template: str = FORWARD_TEMPLATE,
     tag: str = "score",
@@ -171,7 +165,7 @@ def score_prompt(
 ) -> float:
     """Mean accuracy of ``prompt_text`` over ``examples``: a
     :class:`ScoreFunction` called once."""
-    score = ScoreFunction(tuple(examples), lm, ScoreKind(kind), tuple(label_set), forward_template, tag, pool)
+    score = ScoreFunction(tuple(examples), lm, exact_match, tuple(label_set), forward_template, tag, pool)
     return score(prompt_text)
 
 
@@ -181,7 +175,7 @@ class ScoreFunction:
 
     examples: tuple[LabeledExample, ...]
     lm: Backend
-    kind: ScoreKind = ScoreKind.CLASSIFICATION_ACCURACY
+    exact_match: bool = False
     label_set: tuple[str, ...] = ()
     forward_template: str = FORWARD_TEMPLATE
     tag: str = "score"
@@ -203,16 +197,17 @@ class ScoreFunction:
         """Whether ``prompt_text`` gets example ``i`` right: one forward
         pass, tagged ``{tag}/ex{i}`` for every prompt.
 
-        Classification counts a parsed label equal to the gold label; an
-        unmatched completion is simply wrong.
+        Exact match compares the raw completion by
+        :func:`exact_match_correct`. Classification counts a parsed label
+        equal to the gold label; an unmatched completion is simply wrong.
         """
         example = self.examples[i]
         raw, parsed = predict(
             self.lm, prompt_text, example.input_text, self.label_set, self.forward_template, f"{self.tag}/ex{i}"
         )
-        if self.kind == ScoreKind.CLASSIFICATION_ACCURACY:
-            return parsed == example.gold_label
-        return exact_match_correct(raw, example.gold_label)
+        if self.exact_match:
+            return exact_match_correct(raw, example.gold_label)
+        return parsed == example.gold_label
 
 
 @dataclass
@@ -252,13 +247,9 @@ class TaskBinding:
                     )
                 seen[example.input_text] = split_name
 
-    @property
-    def score_kind(self) -> ScoreKind:
-        return ScoreKind.EXACT_MATCH if self.exact_match else ScoreKind.CLASSIFICATION_ACCURACY
-
     def score_function(self, lm: Backend, pool: CallPool = SEQUENTIAL) -> ScoreFunction:
         """The holdout scorer, tagging its passes ``score/ex{i}``."""
-        return ScoreFunction(self.holdout, lm, self.score_kind, self.label_set, self.forward_template, pool=pool)
+        return ScoreFunction(self.holdout, lm, self.exact_match, self.label_set, self.forward_template, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +295,6 @@ def synthetic_binding(
     n_holdout: int = 16,
     n_test: int = 16,
     seed: int = 0,
-    name: str = "synthetic",
 ) -> TaskBinding:
     """Two-class toy task for offline runs and tests.
 
@@ -322,7 +312,7 @@ def synthetic_binding(
         )
 
     return TaskBinding(
-        name=name,
+        name="synthetic",
         label_set=labels,
         train=make(n_train, 0),
         holdout=make(n_holdout, n_train),

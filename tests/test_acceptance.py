@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from tsgdm import (
-    CacheMode,
     CachingBackend,
     FORWARD_TEMPLATE,
     FinishReason,
@@ -250,7 +249,7 @@ def test_criterion_6_seeded_runs_are_reproducible():
     print(
         f"ACCEPTANCE 6 PASS: three seeded default runs byte-identical "
         f"({len(json.loads(dumps[0])['per_iteration'])} rows, best score "
-        f"{json.loads(dumps[0])['best_score']}); stalled trace stops after 4 rows "
+        f"{json.loads(dumps[0])['best_holdout_score']}); stalled trace stops after 4 rows "
         f"and returns the pre-stall prompt"
     )
 
@@ -316,13 +315,13 @@ def test_criterion_8_live_smoke_records_and_replays(tmp_path):
     remote = RemoteBackend(
         BackendSettings(kind="openai", base_url=LIVE_BASE_URL, model=LIVE_MODEL, api_key_env=LIVE_KEY_ENV)
     )
-    cache = ReplayCache(mode=CacheMode.RECORD)
+    cache = ReplayCache()
     recorded = run_tsgd(config, task, CachingBackend(cache, remote), max_lm_calls=400)
     cache_path = tmp_path / "live_cache.jsonl"
     cache.save(cache_path)
 
     poisoned = Recorder(ScriptedBackend(rules=[], default_response=" POISON"))
-    replay = ReplayCache.load(cache_path, mode=CacheMode.REPLAY)
+    replay = ReplayCache.load(cache_path, replay=True)
     replayed = run_tsgd(config, task, CachingBackend(replay, poisoned), max_lm_calls=400)
     assert json.dumps(recorded.to_dict(), sort_keys=True) == json.dumps(
         replayed.to_dict(), sort_keys=True

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -228,6 +229,18 @@ class TestParseSweep:
         with pytest.raises(ConfigError, match="values"):
             parse_config("sweep:\n  axis: alpha\n  values: []\n")
 
+    @pytest.mark.parametrize(
+        "axis, values, refusal",
+        [
+            ("alpha", "[0.5, 0.5]", "sweep.values[1]: 0.5 repeats"),
+            ("batch_size", "[5, 2, 5.0]", "sweep.values[2]: 5.0 repeats"),
+        ],
+    )
+    def test_a_repeated_value_is_refused(self, axis, values, refusal):
+        mode = "run:\n  generation:\n    mode: case2_gradient\n"
+        with pytest.raises(ConfigError, match=re.escape(refusal)):
+            parse_config(f"{mode}sweep:\n  axis: {axis}\n  values: {values}\n")
+
     def test_size_axes_need_integers(self):
         with pytest.raises(ConfigError, match="integers"):
             parse_config("sweep:\n  axis: batch_size\n  values: [2.5]\n")
@@ -387,7 +400,7 @@ class TestReplayHeader:
         for mode in ("replay", "record"):
             config = parse_config_data({"backend": {"cache_mode": mode, "cache_path": str(path)}})
             cache = build_cache(config.backend)
-            assert (cache.mode.value, cache.backend, len(cache) > 0) == (mode, DEFAULT_IDENTITY, True)
+            assert (cache.replay, cache.backend, len(cache) > 0) == (mode == "replay", DEFAULT_IDENTITY, True)
 
 
 class TestRunExperiment:
@@ -599,6 +612,21 @@ class TestMain:
         code = main(["run", "--config", str(tmp_path / "missing.yaml")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", ["[]\n", "false\n"])
+    def test_a_config_file_that_is_not_a_mapping_exits_two(self, tmp_path, capsys, document):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(document, encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "config: expected a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_an_empty_config_file_runs_the_defaults(self, tmp_path, capsys):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text("", encoding="utf-8")
+        code = main(["run", "--config", str(config_path), "--output-dir", str(tmp_path / "out"), *self.RUN_FLAGS])
+        assert code == 0
+        assert (tmp_path / "out" / "trial_000.json").exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         code = main(

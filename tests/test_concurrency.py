@@ -41,7 +41,6 @@ from tsgdm import (
 )
 from tsgdm.cli import parse_config_data, run_experiment
 from tsgdm.gateway import (
-    CacheMode,
     CachingBackend,
     SEQUENTIAL,
     CallCounter,
@@ -169,7 +168,7 @@ class SlowBackend:
 
 def test_record_is_single_flight_per_digest():
     threads = 8
-    cache = ReplayCache(mode=CacheMode.RECORD)
+    cache = ReplayCache()
     inner = SlowBackend(delay_s=0.1)
     request = CompletionRequest("same prompt", 8, 0.7, request_tag="refine/iter0/cand0/block0")
     barrier = threading.Barrier(threads)
@@ -191,7 +190,7 @@ def test_record_is_single_flight_per_digest():
 
 
 def test_single_flight_waiters_share_a_failure_and_nothing_is_stored():
-    cache = ReplayCache(mode=CacheMode.RECORD)
+    cache = ReplayCache()
     entered = threading.Event()
     release = threading.Event()
 
@@ -234,7 +233,7 @@ def test_record_and_budget_stress():
     reaches the inner backend once, and the budget is never overrun."""
     inner = SlowBackend(delay_s=0.0)
     budget = 700
-    counter = CallCounter(CachingBackend(ReplayCache(mode=CacheMode.RECORD), inner), max_calls=budget)
+    counter = CallCounter(CachingBackend(ReplayCache(), inner), max_calls=budget)
     requests = [CompletionRequest(f"prompt {i % 50}", 4, 0.0) for i in range(800)]
 
     def call(request):
@@ -392,7 +391,7 @@ def test_a_trial_whose_backend_never_waits_starts_no_thread(tmp_path, monkeypatc
     assert helper_sets == []
 
 
-@pytest.mark.parametrize("cache_mode", ["off", "record", "passthrough"])
+@pytest.mark.parametrize("cache_mode", ["off", "record"])
 def test_a_trial_whose_backend_declares_nothing_keeps_max_inflight(
     tmp_path, monkeypatch, helper_sets, widths, cache_mode
 ):
@@ -403,15 +402,14 @@ def test_a_trial_whose_backend_declares_nothing_keeps_max_inflight(
 
 
 def test_wrappers_wait_as_their_inner_backend_does():
-    """A counter (the benchmark's probes are counters) and a record or
-    passthrough cache wait as what they wrap does; a replay cache never
-    waits."""
+    """A counter (the benchmark's probes are counters) and a record cache
+    wait as what they wrap does; a replay cache never waits."""
     waiting, scripted = TagSensitiveBackend(), ScriptedBackend()
     assert (waits_on_io(waiting), waits_on_io(scripted)) == (True, False)
-    for mode in CacheMode:
+    for replay in (False, True):
         for inner in (waiting, scripted):
-            cached = CallCounter(CachingBackend(ReplayCache(mode=mode), CallCounter(inner)))
-            assert waits_on_io(cached) is (mode is not CacheMode.REPLAY and inner is waiting)
+            cached = CallCounter(CachingBackend(ReplayCache(replay=replay), CallCounter(inner)))
+            assert waits_on_io(cached) is (not replay and inner is waiting)
 
 
 @pytest.mark.parametrize("budget", [None, 40])

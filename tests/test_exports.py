@@ -1,8 +1,10 @@
 """The public surface: ``from tsgdm import *`` works, ``__all__`` names
 each export once, the names the one update rule, the one scoring path and
 the one backend settings class replaced stay gone, so do the history and
-weight wrappers, the record's unread score, the scripted call log and the
-round helpers that ``_Round`` folded in, and README's code runs."""
+weight wrappers, the record's unread score, the scripted call log, the
+round helpers that ``_Round`` folded in, the enums that restated the
+config's cache mode and scoring rule and three parameters no caller set,
+and README's code runs."""
 
 from __future__ import annotations
 
@@ -40,8 +42,9 @@ REMOVED = {
         "_Candidates",
         "generate_candidate",
     ),
-    tsgdm.task: ("binding_from_preset", "score_prompts"),
-    tsgdm.gateway: ("RemoteConfig",),
+    tsgdm.task: ("binding_from_preset", "score_prompts", "ScoreKind"),
+    tsgdm.task.TaskBinding: ("score_kind",),
+    tsgdm.gateway: ("RemoteConfig", "CacheMode"),
 }
 
 
@@ -68,6 +71,18 @@ def test_removed_name_is_gone(module, name):
 
 def test_run_tsgd_takes_no_score_fn_or_rng():
     assert {"score_fn", "rng"}.isdisjoint(inspect.signature(tsgdm.run_tsgd).parameters)
+
+
+@pytest.mark.parametrize(
+    "function, name",
+    [
+        (tsgdm.ScriptedBackend, "default_finish_reason"),
+        (tsgdm.synthetic_binding, "name"),
+        (tsgdm.compute_textual_gradient, "analyze_template"),
+    ],
+)
+def test_a_parameter_no_caller_set_is_gone(function, name):
+    assert name not in inspect.signature(function).parameters
 
 
 def test_score_function_has_no_many():

@@ -11,7 +11,6 @@ from tsgdm import (
     AuthError,
     BudgetExceededError,
     CacheMissError,
-    CacheMode,
     CachingBackend,
     CallCounter,
     CompletionRequest,
@@ -124,11 +123,11 @@ class TestScriptedBackend:
 class TestReplayCache:
     def test_record_then_replay_zero_inner_calls(self):
         inner = Recorder(ScriptedBackend(default_response="cached text"))
-        cache = ReplayCache(mode=CacheMode.RECORD)
+        cache = ReplayCache()
         recorded = CachingBackend(cache, inner).complete(REQ)
         assert len(inner.requests) == 1
 
-        replay = ReplayCache(mode=CacheMode.REPLAY, entries=dict(cache.entries))
+        replay = ReplayCache(replay=True, entries=dict(cache.entries))
         fresh_inner = Recorder(ScriptedBackend(default_response="should not be used"))
         replayed = CachingBackend(replay, fresh_inner).complete(REQ)
         assert replayed == recorded
@@ -136,7 +135,7 @@ class TestReplayCache:
 
     def test_record_mode_memoizes_repeat_digests(self):
         inner = Recorder(ScriptedBackend(default_response="once"))
-        cache = ReplayCache(mode=CacheMode.RECORD)
+        cache = ReplayCache()
         first = CachingBackend(cache, inner).complete(REQ)
         tagged = CompletionRequest("hello", 8, 0.0, request_tag="different tag")
         second = CachingBackend(cache, inner).complete(tagged)
@@ -145,20 +144,12 @@ class TestReplayCache:
         assert len(cache) == 1
 
     def test_replay_miss_raises(self):
-        cache = ReplayCache(mode=CacheMode.REPLAY)
+        cache = ReplayCache(replay=True)
         with pytest.raises(CacheMissError):
             CachingBackend(cache, ScriptedBackend()).complete(REQ)
 
-    def test_passthrough_stores_nothing(self):
-        inner = Recorder(ScriptedBackend(default_response="live"))
-        cache = ReplayCache(mode=CacheMode.PASSTHROUGH)
-        CachingBackend(cache, inner).complete(REQ)
-        CachingBackend(cache, inner).complete(REQ)
-        assert len(inner.requests) == 2
-        assert len(cache) == 0
-
     def test_save_load_round_trip_and_stable_bytes(self, tmp_path):
-        cache = ReplayCache(mode=CacheMode.RECORD)
+        cache = ReplayCache()
         inner = ScriptedBackend(default_response="persisted")
         for prompt in ("b", "a", "c"):
             CachingBackend(cache, inner).complete(CompletionRequest(prompt, 4, 0.0))
@@ -169,14 +160,14 @@ class TestReplayCache:
         assert path.read_bytes() == first_bytes
 
         loaded = ReplayCache.load(path)
-        assert loaded.mode is CacheMode.REPLAY
+        assert loaded.replay
         assert loaded.entries == cache.entries
         result = CachingBackend(loaded, ScriptedBackend()).complete(CompletionRequest("a", 4, 0.0))
         assert result.text == "persisted"
 
     def test_save_writes_the_backend_identity_as_a_header(self, tmp_path):
         identity = {"kind": "openai", "base_url": "http://localhost:9/v1", "model": "m", "chat": False}
-        cache = ReplayCache(mode=CacheMode.RECORD, backend=identity)
+        cache = ReplayCache(backend=identity)
         CachingBackend(cache, ScriptedBackend(default_response="x")).complete(REQ)
         path = tmp_path / "cache.jsonl"
         cache.save(path)
@@ -185,7 +176,7 @@ class TestReplayCache:
         assert (loaded.backend, loaded.entries) == (identity, cache.entries)
 
     def test_a_file_without_a_header_loads_without_an_identity(self, tmp_path):
-        cache = ReplayCache(mode=CacheMode.RECORD)
+        cache = ReplayCache()
         CachingBackend(cache, ScriptedBackend(default_response="x")).complete(REQ)
         path = tmp_path / "cache.jsonl"
         cache.save(path)
@@ -197,7 +188,7 @@ class TestReplayCache:
         digest = CompletionRequest.digest
         monkeypatch.setattr(CompletionRequest, "digest", lambda request: hashed.append(request) or digest(request))
         entries = {digest(REQ): CompletionResult("x", FinishReason.STOP)} if stored else {}
-        backend = CachingBackend(ReplayCache(mode=mode, entries=entries), ScriptedBackend(default_response="y"))
+        backend = CachingBackend(ReplayCache(replay=mode == "replay", entries=entries), ScriptedBackend(default_response="y"))
         try:
             backend.complete(REQ)
         except CacheMissError:
@@ -212,7 +203,7 @@ class TestReplayCache:
 
     def test_record_keeps_sampled_candidates_apart(self):
         inner = Recorder(ScriptedBackend(default_response="sample"))
-        cache = ReplayCache(mode=CacheMode.RECORD)
+        cache = ReplayCache()
         for j in range(3):
             CachingBackend(cache, inner).complete(CompletionRequest("p", 4, 0.7, request_tag=f"refine/cand{j}"))
         assert len(inner.requests) == 3
@@ -221,7 +212,7 @@ class TestReplayCache:
     def test_save_replaces_the_file_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text("stale\n", encoding="utf-8")
-        cache = ReplayCache(mode=CacheMode.RECORD)
+        cache = ReplayCache()
         CachingBackend(cache, ScriptedBackend(default_response="x")).complete(REQ)
         cache.save(path)
         assert ReplayCache.load(path).entries == cache.entries
@@ -229,7 +220,7 @@ class TestReplayCache:
 
     def test_caching_backend_adapter(self):
         inner = Recorder(ScriptedBackend(default_response="adapted"))
-        backend = CachingBackend(ReplayCache(mode=CacheMode.RECORD), inner)
+        backend = CachingBackend(ReplayCache(), inner)
         assert backend.complete(REQ).text == "adapted"
         assert backend.complete(REQ).text == "adapted"
         assert len(inner.requests) == 1

@@ -274,14 +274,14 @@ class TestTextualGradient:
         backend = ScriptedBackend(default_response="Errors: the prompt ignores sarcasm")
         record = PromptRecord(0, "p", batch_triples=(("x", "pos", "neg"),))
         gen = case1(mode="case2_gradient")
-        out = compute_textual_gradient(record, gen.analyze_template, backend, gen)
+        out = compute_textual_gradient(record, backend, gen)
         assert out == "Errors: the prompt ignores sarcasm"
 
     def test_rendered_prompt_contains_all_parts(self):
         backend = Recorder(ScriptedBackend())
         record = PromptRecord(0, "Classify X", batch_triples=(("a", "pos", "neg"),))
         gen = case1(mode="case2_gradient")
-        compute_textual_gradient(record, gen.analyze_template, backend, gen)
+        compute_textual_gradient(record, backend, gen)
         rendered = backend.requests[0].prompt_text
         for part in ("Classify X", "a", "pos", "neg"):
             assert part in rendered
@@ -289,4 +289,4 @@ class TestTextualGradient:
     def test_empty_batch_raises(self):
         gen = case1(mode="case2_gradient")
         with pytest.raises(EmptyBatchError):
-            compute_textual_gradient(PromptRecord(0, "p"), gen.analyze_template, ScriptedBackend(), gen)
+            compute_textual_gradient(PromptRecord(0, "p"), ScriptedBackend(), gen)

@@ -44,7 +44,7 @@ SWEEP = {"sweep": {"axis": "alpha", "values": [0.5]}}
 # dotted path: (well-typed value, the field it parses into, wrong-typed
 # value, the rest of the document)
 FIELDS = {
-    "run": ({"seed": 3}, RunConfig(seed=3), 3, {}),
+    "run": ({"batch_size": 3}, RunConfig(batch_size=3), 3, {}),
     "task": ({"name": "sst2"}, TaskSettings(name="sst2"), 3, {}),
     "backend": ({"model": "m"}, BackendSettings(model="m"), 3, {}),
     "trials": (3, 3, "many", {}),
@@ -58,7 +58,7 @@ FIELDS = {
     "run.train_size": (50, 50, 2.5, {}),
     "run.patience": (3, 3, "x", CUSTOM),
     "run.hypothesis_preset": ("H1", HypothesisPreset.H1, 3, {}),
-    "run.seed": (7, 7, True, {}),
+    "run.seed": (0, 0, True, {}),
     "run.generation": ({"alpha": 0.3}, GenerationParams(alpha=0.3, temperature=0.7), 3, {}),
     "run.use_momentum": (False, False, 1, {}),
     "run.sample_with_replacement": (True, True, "yes", {}),
@@ -89,7 +89,7 @@ FIELDS = {
     "backend.chat": (False, False, "yes", {}),
     "backend.max_attempts": (2, 2, 2.5, {}),
     "backend.max_inflight": (3, 3, "many", {}),
-    "backend.cache_mode": ("passthrough", "passthrough", 3, {}),
+    "backend.cache_mode": ("record", "record", 3, {"backend": {"cache_path": "c.jsonl"}}),
     "backend.cache_path": ("c.jsonl", "c.jsonl", 3, {}),
     "backend.scripted_rules": ([{"pattern": "p", "response": "r"}], (ScriptRule("p", "r"),), 3, {}),
     "backend.scripted_default_response": (" x", " x", 3, {}),
@@ -110,9 +110,7 @@ RUN_FLAGS = {
     "--base-url": ("backend.base_url", "http://localhost:1/v1", "http://localhost:1/v1", None, None),
     "--model": ("backend.model", "m", "m", None, None),
     "--api-key-env": ("backend.api_key_env", "KEY", "KEY", None, None),
-    "--cache-mode": (
-        "backend.cache_mode", "passthrough", "passthrough", ("off", "record", "replay", "passthrough"), "sometimes",
-    ),
+    "--cache-mode": ("backend.cache_mode", "record", "record", ("off", "record", "replay"), "sometimes"),
     "--cache-path": ("backend.cache_path", "c.jsonl", "c.jsonl", None, None),
     "--max-inflight": ("backend.max_inflight", "3", 3, None, "1.5"),
     "--iterations": ("run.total_iterations", "0", 0, None, "1.5"),
@@ -143,7 +141,11 @@ SWEEP_FLAGS = {
     "--values": ("sweep.values", "1,0.5", (1.0, 0.5), None, None),
 }
 # Flags that need another one to parse.
-FLAG_CONTEXT = {"--patience": ["--preset", "custom"], "--temperature": ["--preset", "custom"]}
+FLAG_CONTEXT = {
+    "--patience": ["--preset", "custom"],
+    "--temperature": ["--preset", "custom"],
+    "--cache-mode": ["--cache-path", "c.jsonl"],
+}
 SWEEP_CONTEXT = ["--preset", "custom", "--axis", "temperature", "--values", "0.5"]
 
 
@@ -238,3 +240,20 @@ def test_each_flag_refuses_a_value_its_field_cannot_hold(flag, captured, capsys)
     assert exit_info.value.code == 2
     assert flag in capsys.readouterr().err
     assert captured == []
+
+
+def test_passthrough_is_no_cache_mode(captured, capsys):
+    with pytest.raises(ConfigError, match=re.escape("backend.cache_mode")):
+        parse_config_data({"backend": {"cache_mode": "passthrough", "cache_path": "c.jsonl"}})
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--cache-mode", "passthrough", "--cache-path", "c.jsonl"])
+    assert exit_info.value.code == 2
+    assert "--cache-mode" in capsys.readouterr().err
+    assert captured == []
+
+
+def test_a_run_seed_is_refused_for_seed_base():
+    """Trial i runs with seed ``seed_base + i``, so a ``run.seed`` would be
+    ignored; it is refused instead."""
+    with pytest.raises(ConfigError, match=r"^run\.seed: .*seed_base"):
+        parse_config_data({"run": {"seed": 5}})

@@ -13,7 +13,6 @@ from tsgdm import (
     LabelError,
     LabeledExample,
     ParseError,
-    ScoreKind,
     ScriptRule,
     ScriptedBackend,
     SizeError,
@@ -230,7 +229,7 @@ class TestScorePrompt:
             default_response="",
         )
         examples = (LabeledExample("q1", "42"), LabeledExample("q2", "42"))
-        score = score_prompt("P", examples, backend, kind=ScoreKind.EXACT_MATCH)
+        score = score_prompt("P", examples, backend, exact_match=True)
         assert score == 0.5
 
     def test_score_function_binds_split(self, tiny_task):
@@ -264,11 +263,11 @@ class TestTaskBinding:
 
     def test_valid_binding(self):
         binding = self.make()
-        assert binding.score_kind is ScoreKind.CLASSIFICATION_ACCURACY
+        assert binding.score_function(ScriptedBackend()).exact_match is False
 
     def test_exact_match_kind(self):
         binding = self.make(label_set=(), exact_match=True)
-        assert binding.score_kind is ScoreKind.EXACT_MATCH
+        assert binding.score_function(ScriptedBackend()).exact_match is True
 
     def test_split_overlap_rejected(self):
         with pytest.raises(DomainError, match="both"):
