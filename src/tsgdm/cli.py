@@ -118,6 +118,9 @@ def build_cache(settings: BackendSettings) -> ReplayCache | None:
     identity = {name: getattr(settings, name) for name in ("kind", "base_url", "model", "chat")}
     exists = Path(path).exists()
     if not (replay or exists):
+        # Refused before any call: the recording is saved only after the last trial.
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"backend.cache_path: record needs an existing directory, got {path!r}")
         return ReplayCache(backend=identity)
     if not exists:
         raise ConfigError(f"backend.cache_path: replay needs an existing file, got {path!r}")
@@ -148,25 +151,18 @@ def _run_one_trial(
     run_cfg = dataclasses.replace(config.run, seed=seed)
     backend = build_backend(config.backend, cache)
     max_inflight = config.backend.max_inflight if waits_on_io(backend) else 1
+    result = None
     try:
         # One pool, and so one set of threads, serves the whole trial.
         with CallPool(max_inflight) as pool:
             result = run_tsgd(run_cfg, task, backend, max_lm_calls=config.max_gateway_calls, pool=pool)
-            final_test = score_prompt(
-                result.best_prompt,
-                task.test,
-                backend,
-                task.exact_match,
-                task.label_set,
-                task.forward_template,
-                tag="test",
-                pool=pool,
-            )
+            final_test = score_prompt(task, result.best_prompt, task.test, backend, tag="test", pool=pool)
         return {
             "trial": trial, "seed": seed, "status": "complete", "final_test_accuracy": final_test, **result.to_dict()
         }
     except TsgdmError as exc:
-        partial = getattr(exc, "partial_run_log", ())
+        # A failed test pass keeps the finished run's rows.
+        partial = getattr(exc, "partial_run_log", ()) if result is None else result.per_iteration
         return {
             "trial": trial,
             "seed": seed,

@@ -38,7 +38,7 @@ from .gateway import (
     Task,
 )
 from .rng import STREAM_BATCH, STREAM_CANDIDATES, RandomStream, substream
-from .task import LabeledExample, ScoreFunction, TaskBinding, check_batch, predict, sample_batch
+from .task import LabeledExample, TaskBinding, check_batch, sample_batch, score_prompt
 
 Triple = tuple[str, str, str]
 
@@ -352,9 +352,9 @@ class _Round:
     complete. Only the newest record in gradient mode is not, until its
     analysis returns. A task that reaches a block drawn from it parks,
     returning None rather than waiting, and the analysis queues the parked
-    candidates in candidate order. A finished candidate queues its forward
-    passes over ``score``'s examples, tagged
-    ``{score.tag}/iter{t}/cand{j}/ex{i}``.
+    candidates in candidate order. A finished candidate queues its
+    :meth:`TaskBinding.hit` passes over ``task.holdout``, tagged
+    ``score/iter{t}/cand{j}/ex{i}``.
     """
 
     def __init__(
@@ -364,7 +364,7 @@ class _Round:
         momentum: bool,
         seed: int,
         lm: Backend,
-        score: ScoreFunction,
+        task: TaskBinding,
         batch: Sequence[LabeledExample],
     ) -> None:
         if len(history) == 0:
@@ -373,10 +373,10 @@ class _Round:
         self.gen = gen
         self.seed = seed
         self.lm = lm
-        self.score = score
+        self.task = task
         self.batch = batch
         self.newest = len(history) - 1
-        self.t = t = history[-1].iteration
+        self.t = history[-1].iteration
         self.weights = None
         if gen.mode is GenerationMode.CONCAT_BASELINE:
             joined = concat_momentum_prompt(history, gen.refine_template)
@@ -390,8 +390,7 @@ class _Round:
         self.parts: list[list[str]] = [[] for _ in range(k)]
         self.next = [0] * k
         self.texts = [""] * k
-        self.hits = [[False] * len(score.examples) for _ in range(k)]
-        self.scorers = [dataclasses.replace(score, tag=f"{score.tag}/iter{t}/cand{j}") for j in range(k)]
+        self.hits = [[False] * len(task.holdout) for _ in range(k)]
         self.triples: list[Triple | None] = [None] * len(batch)
         self.remaining = len(batch)
         self.ready = not batch  # whether the newest record is complete
@@ -404,10 +403,9 @@ class _Round:
         ]
 
     def _predict(self, i: int) -> list[Task] | None:
-        example, score = self.batch[i], self.score
-        raw, parsed = predict(
-            score.lm, self.history[-1].prompt_text, example.input_text, score.label_set, score.forward_template,
-            tag=f"predict/iter{self.t}/ex{i}",
+        example = self.batch[i]
+        raw, parsed = self.task.predict(
+            self.lm, self.history[-1].prompt_text, example.input_text, f"predict/iter{self.t}/ex{i}"
         )
         self.triples[i] = (example.input_text, example.gold_label, parsed if parsed is not None else raw.strip())
         with self._lock:  # the last pass to finish queues the analysis
@@ -462,7 +460,9 @@ class _Round:
         return [functools.partial(self._hit, j, i) for i in range(len(self.hits[j]))]
 
     def _hit(self, j: int, i: int) -> None:
-        self.hits[j][i] = self.scorers[j].hit(self.texts[j], i)
+        self.hits[j][i] = self.task.hit(
+            self.lm, self.texts[j], self.task.holdout[i], f"score/iter{self.t}/cand{j}/ex{i}"
+        )
 
     def select(self) -> tuple[int, float, list[float]]:
         """The :func:`_argmax` of the candidates' mean hits."""
@@ -500,11 +500,12 @@ def run_tsgd(
     by block by the update rule as :class:`_Round` describes; in gradient
     mode it first runs the current instruction over a sampled train batch
     and asks the backend for an error analysis. The other modes read only
-    prompt texts, so they draw no batch. A prompt's score is its mean hit
-    over the holdout split. The run stops early once the best holdout score
-    has gone ``config.patience`` consecutive rounds without strict
-    improvement, and always returns the highest-scoring prompt seen,
-    including the initial one.
+    prompt texts, so they draw no batch. A prompt's score is its mean
+    :meth:`TaskBinding.hit` over the holdout split: the task's own rule,
+    which a test pass through :func:`score_prompt` applies too. The run
+    stops early once the best holdout score has gone ``config.patience``
+    consecutive rounds without strict improvement, and always returns the
+    highest-scoring prompt seen, including the initial one.
 
     All randomness descends from ``config.seed``, and sampled requests
     carry it as their ``sample_seed``. A train pool that
@@ -526,7 +527,6 @@ def run_tsgd(
     """
     counter = CallCounter(_RunDraws(lm, config.seed), max_calls=max_lm_calls)
     gen = config.generation
-    score = task.score_function(counter, pool=pool)
     train = task.train[: config.train_size]
     history: list[PromptRecord] = []
     rows: list[IterationRow] = []
@@ -548,7 +548,7 @@ def run_tsgd(
         if config.total_iterations:
             check_batch(len(train), config.batch_size, config.sample_with_replacement)
         current_prompt = task.initial_prompt
-        best = score(current_prompt)
+        best = score_prompt(task, current_prompt, task.holdout, counter, pool=pool)
         snapshot(0, current_prompt, best, (), 0)
         stop_reason = StopReason.MAX_ITERATIONS
         stale = 0
@@ -562,7 +562,7 @@ def run_tsgd(
                     substream(config.seed, STREAM_BATCH, t),
                     with_replacement=config.sample_with_replacement,
                 )
-            step = _Round(history, gen, config.use_momentum, config.seed, counter, score, batch)
+            step = _Round(history, gen, config.use_momentum, config.seed, counter, task, batch)
             pool.run(step.tasks())
             index, value, cand_scores = step.select()
             current_prompt = step.texts[index]

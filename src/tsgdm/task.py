@@ -137,77 +137,25 @@ def sample_batch(
     return [pool[int(i)] for i in indices]
 
 
-def predict(
-    lm: Backend,
-    prompt_text: str,
-    input_text: str,
-    label_set: Sequence[str] = (),
-    forward_template: str = FORWARD_TEMPLATE,
-    tag: str = "predict",
-) -> tuple[str, str | None]:
-    """One greedy forward pass; returns (raw completion, parsed label or None)."""
-    request = CompletionRequest(
-        render_forward(prompt_text, input_text, forward_template), EVAL_MAX_TOKENS, EVAL_TEMPERATURE, request_tag=tag
-    )
-    text = lm.complete(request).text
-    return text, parse_label(text, label_set)
-
-
 def score_prompt(
+    task: TaskBinding,
     prompt_text: str,
     examples: Sequence[LabeledExample],
     lm: Backend,
-    exact_match: bool = False,
-    label_set: Sequence[str] = (),
-    forward_template: str = FORWARD_TEMPLATE,
     tag: str = "score",
     pool: CallPool = SEQUENTIAL,
 ) -> float:
-    """Mean accuracy of ``prompt_text`` over ``examples``: a
-    :class:`ScoreFunction` called once."""
-    score = ScoreFunction(tuple(examples), lm, exact_match, tuple(label_set), forward_template, tag, pool)
-    return score(prompt_text)
+    """Mean :meth:`TaskBinding.hit` of ``prompt_text`` over ``examples``,
+    whose forward passes, tagged ``{tag}/ex{i}``, go through one
+    ``pool.map`` in example order.
 
-
-@dataclass
-class ScoreFunction:
-    """Callable scorer bound to a fixed example slice and backend."""
-
-    examples: tuple[LabeledExample, ...]
-    lm: Backend
-    exact_match: bool = False
-    label_set: tuple[str, ...] = ()
-    forward_template: str = FORWARD_TEMPLATE
-    tag: str = "score"
-    pool: CallPool = SEQUENTIAL
-
-    def __call__(self, prompt_text: str) -> float:
-        """Mean :meth:`hit` of ``prompt_text`` over the examples, whose
-        forward passes go through one ``pool.map`` in example order.
-
-        Scoring zero examples raises :class:`EmptySetError` rather than
-        returning a fake 0.0.
-        """
-        if not self.examples:
-            raise EmptySetError("cannot score a prompt over zero examples")
-        hits = self.pool.map(functools.partial(self.hit, prompt_text), range(len(self.examples)))
-        return sum(hits) / len(hits)
-
-    def hit(self, prompt_text: str, i: int) -> bool:
-        """Whether ``prompt_text`` gets example ``i`` right: one forward
-        pass, tagged ``{tag}/ex{i}`` for every prompt.
-
-        Exact match compares the raw completion by
-        :func:`exact_match_correct`. Classification counts a parsed label
-        equal to the gold label; an unmatched completion is simply wrong.
-        """
-        example = self.examples[i]
-        raw, parsed = predict(
-            self.lm, prompt_text, example.input_text, self.label_set, self.forward_template, f"{self.tag}/ex{i}"
-        )
-        if self.exact_match:
-            return exact_match_correct(raw, example.gold_label)
-        return parsed == example.gold_label
+    Scoring zero examples raises :class:`EmptySetError` rather than
+    returning a fake 0.0.
+    """
+    if not examples:
+        raise EmptySetError("cannot score a prompt over zero examples")
+    hits = pool.map(lambda i: task.hit(lm, prompt_text, examples[i], f"{tag}/ex{i}"), range(len(examples)))
+    return sum(hits) / len(hits)
 
 
 @dataclass
@@ -247,10 +195,24 @@ class TaskBinding:
                     )
                 seen[example.input_text] = split_name
 
-    def score_function(self, lm: Backend, pool: CallPool = SEQUENTIAL) -> ScoreFunction:
-        """The holdout scorer, tagging its passes ``score/ex{i}``."""
-        return ScoreFunction(self.holdout, lm, self.exact_match, self.label_set, self.forward_template, pool=pool)
+    def predict(self, lm: Backend, prompt_text: str, input_text: str, tag: str) -> tuple[str, str | None]:
+        """One greedy forward pass; returns (raw completion, parsed label or None)."""
+        prompt = render_forward(prompt_text, input_text, self.forward_template)
+        text = lm.complete(CompletionRequest(prompt, EVAL_MAX_TOKENS, EVAL_TEMPERATURE, request_tag=tag)).text
+        return text, parse_label(text, self.label_set)
 
+    def hit(self, lm: Backend, prompt_text: str, example: LabeledExample, tag: str) -> bool:
+        """Whether ``prompt_text`` gets ``example`` right: one forward pass
+        tagged ``tag``.
+
+        Exact match compares the raw completion by
+        :func:`exact_match_correct`. Classification counts a parsed label
+        equal to the gold label; an unmatched completion is simply wrong.
+        """
+        raw, parsed = self.predict(lm, prompt_text, example.input_text, tag)
+        if self.exact_match:
+            return exact_match_correct(raw, example.gold_label)
+        return parsed == example.gold_label
 
 # ---------------------------------------------------------------------------
 # bundled task presets

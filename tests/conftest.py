@@ -14,7 +14,6 @@ from tsgdm import (
     CompletionRequest,
     CompletionResult,
     FinishReason,
-    ScoreFunction,
     ScriptRule,
     ScriptedBackend,
     synthetic_binding,
@@ -79,7 +78,7 @@ def write_candidates(history, gen, backend, momentum=True, seed=0, js=(0,)) -> l
     widened to hold every index in ``js``."""
     if max(js) >= gen.candidates:
         gen = dataclasses.replace(gen, candidates=max(js) + 1)
-    step = _Round(history, gen, momentum, seed, backend, ScoreFunction((), backend), ())
+    step = _Round(history, gen, momentum, seed, backend, synthetic_binding(n_holdout=0), ())
     return [step.write(j) for j in js]
 
 

@@ -613,6 +613,17 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_recording_into_a_missing_directory_exits_two_before_any_call(self, tmp_path, capsys, monkeypatch):
+        """The recording is saved only after the last trial, so a path it
+        could not be saved to is refused before the first call."""
+        monkeypatch.setattr(cli, "build_backend", lambda *_: pytest.fail("the backend was built"))
+        cache_path = str(tmp_path / "missing" / "c.jsonl")
+        argv = ["run", "--output-dir", str(tmp_path / "out"), "--cache-mode", "record", "--cache-path", cache_path]
+        assert main([*argv, *self.RUN_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert "backend.cache_path: record needs an existing directory" in err
+        assert cache_path in err
+
     @pytest.mark.parametrize("document", ["[]\n", "false\n"])
     def test_a_config_file_that_is_not_a_mapping_exits_two(self, tmp_path, capsys, document):
         config_path = tmp_path / "config.yaml"

@@ -371,6 +371,16 @@ def test_a_cli_trial_runs_on_one_call_pool(tmp_path, monkeypatch, helper_sets, f
     assert [helper_set.joins for helper_set in helper_sets] == [1]
 
 
+def test_a_failed_test_pass_keeps_the_finished_runs_rows(tmp_path, monkeypatch):
+    doc = trial_doc("momentum-case2", 4)
+    clean = json.loads(run_trial(tmp_path, "clean", doc, monkeypatch, FailingAt(None)))
+    failed = json.loads(run_trial(tmp_path, "failed", doc, monkeypatch, FailingAt("test/")))
+    assert failed["status"] == "failed" and failed["error"].startswith("NetworkError: test/")
+    assert failed["per_iteration"] == clean["per_iteration"] != []
+    log = (tmp_path / "failed" / "run_log.jsonl").read_bytes()
+    assert log == (tmp_path / "clean" / "run_log.jsonl").read_bytes()
+
+
 @pytest.fixture
 def widths(monkeypatch):
     """The width of each ``CallPool`` a CLI trial opens."""
@@ -419,7 +429,7 @@ def test_run_tsgd_leaves_the_callers_pool_open(helper_sets, budget):
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
 
     def test_pass(pool=SEQUENTIAL) -> float:
-        return score_prompt(task.initial_prompt, task.test, TagSensitiveBackend(), label_set=task.label_set, pool=pool)
+        return score_prompt(task, task.initial_prompt, task.test, TagSensitiveBackend(), pool=pool)
 
     with CallPool(4) as pool:
         try:

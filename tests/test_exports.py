@@ -3,8 +3,8 @@ each export once, the names the one update rule, the one scoring path and
 the one backend settings class replaced stay gone, so do the history and
 weight wrappers, the record's unread score, the scripted call log, the
 round helpers that ``_Round`` folded in, the enums that restated the
-config's cache mode and scoring rule and three parameters no caller set,
-and README's code runs."""
+config's cache mode and scoring rule, the scorer that copied the task's
+scoring rule, three parameters no caller set, and README's code runs."""
 
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ REMOVED = {
         "_Candidates",
         "generate_candidate",
     ),
-    tsgdm.task: ("binding_from_preset", "score_prompts", "ScoreKind"),
-    tsgdm.task.TaskBinding: ("score_kind",),
+    tsgdm.task: ("binding_from_preset", "score_prompts", "ScoreKind", "ScoreFunction", "predict"),
+    tsgdm.task.TaskBinding: ("score_kind", "score_function"),
     tsgdm.gateway: ("RemoteConfig", "CacheMode"),
 }
 
@@ -83,10 +83,6 @@ def test_run_tsgd_takes_no_score_fn_or_rng():
 )
 def test_a_parameter_no_caller_set_is_gone(function, name):
     assert name not in inspect.signature(function).parameters
-
-
-def test_score_function_has_no_many():
-    assert not hasattr(tsgdm.ScoreFunction, "many")
 
 
 def test_scripted_backend_keeps_no_call_log():

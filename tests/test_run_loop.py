@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from tsgdm import (
     FinishReason,
     GenerationParams,
     HypothesisPreset,
+    LabeledExample,
     NetworkError,
     PromptRecord,
     REFINE_PROMPT,
@@ -24,8 +26,10 @@ from tsgdm import (
     ScriptedBackend,
     SizeError,
     StopReason,
+    TaskBinding,
     momentum_weights,
     run_tsgd,
+    score_prompt,
     substream,
     synthetic_binding,
 )
@@ -209,6 +213,38 @@ class TestRunLoop:
         result = run_tsgd(config, tiny_task, backend)
         assert result.total_lm_calls == len(tiny_task.holdout)
         assert result.per_iteration[0].holdout_score == 1.0
+
+    def test_the_tasks_own_rule_scores_every_split(self):
+        """An exact-match task with its own forward template: the batch,
+        holdout and test passes all render with that template, and the test
+        pass scores by exact match as holdout selection does."""
+
+        def split(start: int) -> tuple[LabeledExample, ...]:
+            return tuple(LabeledExample(f"what is {n} plus one", str(n + 1)) for n in range(start, start + 4))
+
+        template = "Q: {input}\nInstruction: {prompt}\nA:"
+        task = TaskBinding(
+            "arith", (), split(0), split(10), split(20), "Add one.", forward_template=template, exact_match=True
+        )
+
+        class Adder:
+            """Greedy passes answer n + 1 for even n and n + 2 for odd n."""
+
+            def complete(self, request):
+                if request.temperature > 0.0:
+                    return CompletionResult("Add one to the number.", FinishReason.STOP)
+                n = int(re.search(r"what is (\d+) plus one", request.prompt_text)[1])
+                return CompletionResult(f"The answer is {n + 1 + n % 2}.", FinishReason.STOP)
+
+        backend = Recorder(Adder())
+        gen = GenerationParams(max_total_tokens=8, block_tokens=8, temperature=0.7, candidates=2, mode="case2_gradient")
+        result = run_tsgd(small_config(total_iterations=1, generation=gen), task, backend)
+        accuracy = score_prompt(task, result.best_prompt, task.test, backend, tag="test")
+        greedy = [r for r in backend.requests if r.temperature == 0.0]
+        assert {r.request_tag.split("/")[0] for r in greedy} == {"predict", "score", "test"}
+        form = re.compile(r"Q: what is \d+ plus one\nInstruction: .*\nA:", re.DOTALL)
+        assert all(form.fullmatch(r.prompt_text) for r in greedy)
+        assert result.best_score == accuracy == 0.5
 
     def test_deterministic_given_seed(self, tiny_task):
         config = small_config(

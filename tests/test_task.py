@@ -24,7 +24,6 @@ from tsgdm import (
     load_presets,
     normalize_text,
     parse_label,
-    predict,
     render_forward,
     sample_batch,
     score_prompt,
@@ -171,10 +170,23 @@ class TestSampleBatch:
             sample_batch((), 1, substream(0, STREAM_BATCH, 0))
 
 
+def small_task(**kwargs) -> TaskBinding:
+    """A yes/no binding with one example per split; ``kwargs`` replace its fields."""
+    defaults = dict(
+        name="t",
+        label_set=("yes", "no"),
+        train=(LabeledExample("a", "yes"),),
+        holdout=(LabeledExample("b", "no"),),
+        test=(LabeledExample("c", "yes"),),
+        initial_prompt="Answer yes or no.",
+    )
+    return TaskBinding(**{**defaults, **kwargs})
+
+
 class TestPredict:
     def test_renders_forward_template_and_parses(self):
         backend = Recorder(ScriptedBackend(rules=[ScriptRule("widget", " It is a Widget, yes.")], default_response=" no"))
-        raw, parsed = predict(backend, "Classify.", "a widget thing", ("yes", "no"))
+        raw, parsed = small_task().predict(backend, "Classify.", "a widget thing", "predict")
         assert raw == " It is a Widget, yes."
         assert parsed == "yes"
         request = backend.requests[0]
@@ -207,7 +219,7 @@ class TestScorePrompt:
 
     def test_classification_counts_parsed_matches(self):
         backend = Recorder(self.backend())
-        score = score_prompt("P", self.examples(), backend, label_set=("yes", "no"))
+        score = score_prompt(small_task(), "P", self.examples(), backend)
         assert score == pytest.approx(2 / 3)
         assert [r.request_tag for r in backend.requests] == [
             "score/ex0",
@@ -217,11 +229,11 @@ class TestScorePrompt:
 
     def test_unmatched_completions_score_zero(self):
         backend = ScriptedBackend(rules=[], default_response=" unrelated words")
-        assert score_prompt("P", self.examples(), backend, label_set=("yes", "no")) == 0.0
+        assert score_prompt(small_task(), "P", self.examples(), backend) == 0.0
 
     def test_empty_example_set(self):
         with pytest.raises(EmptySetError):
-            score_prompt("P", (), self.backend())
+            score_prompt(small_task(), "P", (), self.backend())
 
     def test_exact_match_kind(self):
         backend = ScriptedBackend(
@@ -229,7 +241,7 @@ class TestScorePrompt:
             default_response="",
         )
         examples = (LabeledExample("q1", "42"), LabeledExample("q2", "42"))
-        score = score_prompt("P", examples, backend, exact_match=True)
+        score = score_prompt(small_task(label_set=(), exact_match=True), "P", examples, backend)
         assert score == 0.5
 
     def test_score_function_binds_split(self, tiny_task):
@@ -242,53 +254,44 @@ class TestScorePrompt:
                 default_response=" blue",
             )
         )
-        fn = tiny_task.score_function(backend)
-        assert fn.examples == tiny_task.holdout
-        assert fn(tiny_task.initial_prompt) == 1.0
+        assert score_prompt(tiny_task, tiny_task.initial_prompt, tiny_task.holdout, backend) == 1.0
         assert [r.request_tag for r in backend.requests] == [f"score/ex{i}" for i in range(len(tiny_task.holdout))]
 
 
 class TestTaskBinding:
-    def make(self, **kwargs):
-        defaults = dict(
-            name="t",
-            label_set=("yes", "no"),
-            train=(LabeledExample("a", "yes"),),
-            holdout=(LabeledExample("b", "no"),),
-            test=(LabeledExample("c", "yes"),),
-            initial_prompt="Answer yes or no.",
-        )
-        defaults.update(kwargs)
-        return TaskBinding(**defaults)
-
     def test_valid_binding(self):
-        binding = self.make()
-        assert binding.score_function(ScriptedBackend()).exact_match is False
+        """A classification binding counts the one parsed label, not the raw text."""
+        binding = small_task()
+        backend = ScriptedBackend(rules=[ScriptRule("b", " It is no.")], default_response="")
+        assert binding.hit(backend, "P", binding.holdout[0], "score/ex0") is True
 
     def test_exact_match_kind(self):
-        binding = self.make(label_set=(), exact_match=True)
-        assert binding.score_function(ScriptedBackend()).exact_match is True
+        """An exact-match binding compares the raw completion, numbers by value."""
+        binding = small_task(label_set=(), exact_match=True, holdout=(LabeledExample("b", "42"),))
+        backend = ScriptedBackend(rules=[ScriptRule("b", "The answer is 42.")], default_response="")
+        assert binding.hit(backend, "P", binding.holdout[0], "score/ex0") is True
+        assert binding.hit(ScriptedBackend(default_response=" no"), "P", binding.holdout[0], "score/ex0") is False
 
     def test_split_overlap_rejected(self):
         with pytest.raises(DomainError, match="both"):
-            self.make(holdout=(LabeledExample("a", "no"),))
+            small_task(holdout=(LabeledExample("a", "no"),))
 
     def test_label_outside_set_rejected(self):
         with pytest.raises(LabelError):
-            self.make(train=(LabeledExample("a", "maybe"),))
+            small_task(train=(LabeledExample("a", "maybe"),))
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(DomainError):
-            self.make(initial_prompt="")
+            small_task(initial_prompt="")
 
     def test_classification_needs_labels(self):
         with pytest.raises(DomainError):
-            self.make(label_set=())
+            small_task(label_set=())
 
     @pytest.mark.parametrize("template", ["{prompt} {nope}", "{prompt}\nAnswer:", "{prompt} {input} {", "{prompt} {input} {}"])
     def test_forward_template_that_cannot_render_is_rejected(self, template):
         with pytest.raises(DomainError, match="forward_template"):
-            self.make(forward_template=template)
+            small_task(forward_template=template)
 
 
 class TestPresets:
