@@ -177,10 +177,10 @@ def run_experiment(config: ExperimentConfig, echo=print) -> dict:
     per-iteration log, and the aggregate summary into config.output_dir.
 
     A record cache is saved even when a trial raises."""
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     task = build_task(config.task)
     cache = build_cache(config.backend)
+    out = Path(config.output_dir)  # made after the checks, so a refused run leaves none
+    out.mkdir(parents=True, exist_ok=True)
 
     indices = list(range(config.trials))
     try:
@@ -264,8 +264,7 @@ def run_sweep(config: ExperimentConfig, echo=print) -> list[dict]:
                 raise ConfigError(
                     f"sweep.values[{i}]: train_size {int(value)} exceeds the {split} examples of the train split"
                 )
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.output_dir)  # the first point's run_experiment makes it
     rows = []
     for value in sorted(config.sweep.values):
         label = _format_axis_value(axis, value)

@@ -39,14 +39,6 @@ class BudgetExceededError(TsgdmError):
     """The gateway call budget for a run was exhausted."""
 
 
-class EmptyHistoryError(TsgdmError, ValueError):
-    """An operation that needs at least one past prompt got an empty history."""
-
-
-class EmptyBatchError(TsgdmError, ValueError):
-    """An operation that needs batch examples got a record without any."""
-
-
 class EmptySetError(TsgdmError, ValueError):
     """Scoring was asked to average over zero examples."""
 

@@ -642,7 +642,10 @@ class ReplayCache:
     def load(cls, path: str | Path, replay: bool = True) -> "ReplayCache":
         entries: dict[str, CompletionResult] = {}
         backend = None
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProtocolError(f"{path}: cannot read: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue

@@ -26,14 +26,13 @@ from enum import Enum
 from typing import Sequence
 
 from . import templates
-from .errors import DomainError, EmptyBatchError, EmptyHistoryError, check_minimums
+from .errors import DomainError, check_minimums
 from .gateway import (
     SEQUENTIAL,
     Backend,
     CallCounter,
     CallPool,
     CompletionRequest,
-    CompletionResult,
     FinishReason,
     Task,
 )
@@ -49,20 +48,11 @@ Triple = tuple[str, str, str]
 
 @dataclass(frozen=True)
 class PromptRecord:
-    """One optimization step: the instruction, and in gradient mode its
-    batch evidence and the error analysis written on it."""
+    """One optimization step: the instruction, and in gradient mode the
+    error analysis written on it, which later rounds condition on."""
 
-    iteration: int
     prompt_text: str
     gradient_text: str | None = None
-    batch_triples: tuple[Triple, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.iteration < 0:
-            raise DomainError(f"iteration must be >= 0, got {self.iteration}")
-        object.__setattr__(
-            self, "batch_triples", tuple(tuple(triple) for triple in self.batch_triples)
-        )
 
 
 def momentum_weights(alpha: float, t: int) -> tuple[float, ...]:
@@ -277,45 +267,10 @@ def _conditioning_text(gen: GenerationParams, record: PromptRecord) -> str:
     """Refine conditioning for one source record; a sampled record always
     travels with its own error analysis in gradient mode."""
     if gen.mode is GenerationMode.CASE2_GRADIENT:
-        if record.gradient_text is None:
-            raise EmptyBatchError(
-                f"record {record.iteration} has no gradient_text for gradient-mode conditioning"
-            )
         return gen.refine_template.format(
             prompt=record.prompt_text, gradient=record.gradient_text
         )
     return gen.refine_template.format(prompt=record.prompt_text)
-
-
-def concat_momentum_prompt(history: Sequence[PromptRecord], template: str) -> str:
-    """Conditioning text for the concatenation baseline: every instruction
-    of ``history`` joined oldest-first into the history template."""
-    if len(history) == 0:
-        raise EmptyHistoryError("concat baseline needs at least one record")
-    joined = "\n".join(record.prompt_text for record in history)
-    return template.format(history=joined)
-
-
-def compute_textual_gradient(
-    current: PromptRecord,
-    lm: Backend,
-    gen: GenerationParams,
-    tag: str = "analyze",
-) -> str:
-    """Ask the backend to write an error analysis of ``current`` from its own
-    batch triples, through ``gen.analyze_template``."""
-    if not current.batch_triples:
-        raise EmptyBatchError(f"record {current.iteration} has an empty batch")
-    request = CompletionRequest(
-        prompt_text=gen.analyze_template.format(
-            prompt=current.prompt_text,
-            examples=templates.format_triples(current.batch_triples),
-        ),
-        max_new_tokens=gen.max_total_tokens,
-        temperature=gen.temperature,
-        request_tag=tag,
-    )
-    return lm.complete(request).text
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +286,17 @@ def _argmax(scores: list[float]) -> tuple[int, float, list[float]]:
 
 
 class _Round:
-    """Round ``t``, the iteration of ``history[-1]``: in gradient mode the
-    forward passes of ``batch`` and their error analysis, then the k
-    candidates for the next instruction and their holdout passes.
+    """Round ``t = len(history) - 1``: in gradient mode the forward passes
+    of ``batch`` and their error analysis, then the k candidates for the
+    next instruction and their holdout passes.
 
     :meth:`tasks` is the round's queue: the batch passes, then one task per
-    candidate. The last batch pass to finish queues the analysis, which
-    adds the batch triples and the error analysis to ``history[-1]``.
+    candidate. The last batch pass to finish queues the analysis, which the
+    round builds from the batch triples and tags ``analyze/iter{t}``; its
+    answer makes ``history[-1]`` the instruction with its analysis. The
+    round stamps ``seed`` as the ``sample_seed`` of the analysis and the
+    refine blocks when they are sampled (0 when greedy), so a cache shared
+    by several runs keeps their draws apart.
 
     Candidate ``j`` draws its plan, the source record of each block, in its
     first task: the newest record, except for momentum over several
@@ -367,24 +326,22 @@ class _Round:
         task: TaskBinding,
         batch: Sequence[LabeledExample],
     ) -> None:
-        if len(history) == 0:
-            raise EmptyHistoryError("an update needs at least one record")
         self.history = history
         self.gen = gen
         self.seed = seed
         self.lm = lm
         self.task = task
         self.batch = batch
-        self.newest = len(history) - 1
-        self.t = history[-1].iteration
+        self.t = len(history) - 1
+        self.sample_seed = seed if gen.temperature else 0
         self.weights = None
         if gen.mode is GenerationMode.CONCAT_BASELINE:
-            joined = concat_momentum_prompt(history, gen.refine_template)
+            joined = gen.refine_template.format(history="\n".join(record.prompt_text for record in history))
             self.conditioning = lambda source: joined
         else:
             self.conditioning = functools.cache(lambda source: _conditioning_text(gen, history[source]))
-            if momentum and self.newest > 0:
-                self.weights = momentum_weights(gen.alpha, self.newest)
+            if momentum and self.t > 0:
+                self.weights = momentum_weights(gen.alpha, self.t)
         k = gen.candidates
         self.plans: list[tuple[int, ...] | None] = [None] * k
         self.parts: list[list[str]] = [[] for _ in range(k)]
@@ -413,9 +370,15 @@ class _Round:
             return None if self.remaining else [self._analyze]
 
     def _analyze(self) -> list[Task]:
-        record = dataclasses.replace(self.history[-1], batch_triples=tuple(self.triples))
-        gradient = compute_textual_gradient(record, self.lm, self.gen, tag=f"analyze/iter{self.t}")
-        self.history[-1] = dataclasses.replace(record, gradient_text=gradient)
+        gen, prompt = self.gen, self.history[-1].prompt_text
+        request = CompletionRequest(
+            prompt_text=gen.analyze_template.format(prompt=prompt, examples=templates.format_triples(self.triples)),
+            max_new_tokens=gen.max_total_tokens,
+            temperature=gen.temperature,
+            request_tag=f"analyze/iter{self.t}",
+            sample_seed=self.sample_seed,
+        )
+        self.history[-1] = PromptRecord(prompt, self.lm.complete(request).text)
         with self._lock:
             self.ready = True
             return [functools.partial(self._candidate, j) for j in sorted(self.parked)]
@@ -428,14 +391,14 @@ class _Round:
         if plan is None:  # the candidate's first task draws its plan
             blocks = math.ceil(gen.max_total_tokens / gen.block_tokens)
             if self.weights is None:
-                plan = (self.newest,) * blocks
+                plan = (self.t,) * blocks
             else:
                 plan = draw_plan(self.weights, blocks, substream(self.seed, STREAM_CANDIDATES, self.t, j))
             self.plans[j] = plan
         while self.next[j] < len(plan):
             b = self.next[j]
             # ready only turns true, so a true read needs no lock.
-            if plan[b] == self.newest and not self.ready:
+            if plan[b] == self.t and not self.ready:
                 with self._lock:
                     if not self.ready:
                         self.parked.append(j)
@@ -446,6 +409,7 @@ class _Round:
                     max_new_tokens=min(gen.block_tokens, gen.max_total_tokens - b * gen.block_tokens),
                     temperature=gen.temperature,
                     request_tag=f"refine/iter{self.t}/cand{j}/block{b}",
+                    sample_seed=self.sample_seed,
                 )
             )
             parts.append(result.text)
@@ -473,20 +437,6 @@ class _Round:
 # outer loop
 
 
-class _RunDraws:
-    """Backend view that stamps the run's seed on every sampled request, so
-    a cache shared by several runs keeps their draws apart."""
-
-    def __init__(self, inner: Backend, seed: int) -> None:
-        self.inner = inner
-        self.seed = seed
-
-    def complete(self, request: CompletionRequest) -> CompletionResult:
-        if request.temperature > 0.0:
-            request = dataclasses.replace(request, sample_seed=self.seed)
-        return self.inner.complete(request)
-
-
 def run_tsgd(
     config: RunConfig,
     task: TaskBinding,
@@ -507,8 +457,10 @@ def run_tsgd(
     consecutive rounds without strict improvement, and always returns the
     highest-scoring prompt seen, including the initial one.
 
-    All randomness descends from ``config.seed``, and sampled requests
-    carry it as their ``sample_seed``. A train pool that
+    All randomness descends from ``config.seed``. Round t runs over the
+    t + 1 records so far (t is ``len(history) - 1``), builds its own
+    analysis request and stamps the seed on each sampled request it sends,
+    as its ``sample_seed``. A train pool that
     :func:`sample_batch` would refuse fails before the first call, in every
     mode. On failure the partial row list is attached to the raised
     exception as ``partial_run_log``.
@@ -525,7 +477,7 @@ def run_tsgd(
     drawn from the newest record before the analysis, the analysis, then
     the holdout passes and the parked candidates in the order they joined.
     """
-    counter = CallCounter(_RunDraws(lm, config.seed), max_calls=max_lm_calls)
+    counter = CallCounter(lm, max_calls=max_lm_calls)
     gen = config.generation
     train = task.train[: config.train_size]
     history: list[PromptRecord] = []
@@ -553,7 +505,7 @@ def run_tsgd(
         stop_reason = StopReason.MAX_ITERATIONS
         stale = 0
         for t in range(config.total_iterations):
-            history.append(PromptRecord(iteration=t, prompt_text=current_prompt))
+            history.append(PromptRecord(current_prompt))
             batch = ()
             if gen.mode is GenerationMode.CASE2_GRADIENT:
                 batch = sample_batch(

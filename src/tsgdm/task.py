@@ -83,13 +83,16 @@ def exact_match_correct(completion: str, gold_label: str) -> bool:
 def load_dataset(path: str | Path, label_set: Sequence[str] = ()) -> list[LabeledExample]:
     """Read line-delimited JSON records with ``text`` and ``label`` fields.
 
-    Blank lines are skipped. Malformed lines raise :class:`ParseError` with
-    the line number; labels outside a nonempty ``label_set`` raise
-    :class:`LabelError`.
+    Blank lines are skipped. An unreadable file, and a malformed line with
+    its line number, raise :class:`ParseError`; labels outside a nonempty
+    ``label_set`` raise :class:`LabelError`.
     """
     examples: list[LabeledExample] = []
     allowed = set(label_set)
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -23,7 +23,6 @@ from tsgdm import (
     RunConfig,
     ScriptRule,
     ScriptedBackend,
-    concat_momentum_prompt,
     ema_mse_recursive,
     ema_mse_theory,
     EmaModel,
@@ -37,8 +36,7 @@ from tsgdm import (
 )
 from tsgdm.cli import BackendSettings
 from tsgdm.rng import STREAM_VARIANCE
-from tsgdm.templates import CONCAT_HISTORY_PROMPT
-from conftest import HoldoutHits, Recorder, make_marker_backend
+from conftest import HoldoutHits, Recorder, make_marker_backend, write_candidates
 
 GRID_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 GRID_HORIZONS = (1, 2, 5, 10, 20, 50)
@@ -279,8 +277,10 @@ def test_criterion_7_rendering_golden_corpus():
     for args, expected in corpus:
         assert render_forward(*args) == expected
 
-    history = (PromptRecord(0, "first instruction"), PromptRecord(1, "second instruction"))
-    concat = concat_momentum_prompt(history, CONCAT_HISTORY_PROMPT)
+    backend = Recorder(ScriptedBackend())
+    gen = GenerationParams(max_total_tokens=10, temperature=0.7, candidates=1, mode="concat_baseline")
+    write_candidates([PromptRecord("first instruction"), PromptRecord("second instruction")], gen, backend)
+    concat = backend.requests[0].prompt_text
     assert "Here are the past iterations of this variable" in concat
     assert "<PAST_ITERATIONS>\nfirst instruction\nsecond instruction\n</PAST_ITERATIONS>" in concat
     print(

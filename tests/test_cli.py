@@ -623,6 +623,45 @@ class TestMain:
         err = capsys.readouterr().err
         assert "backend.cache_path: record needs an existing directory" in err
         assert cache_path in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "refusal, message",
+        [
+            (["--cache-mode", "record", "--cache-path", "{tmp}/missing/c.jsonl"], "record needs an existing directory"),
+            (["--task", "mpqa"], "needs train_path, holdout_path and test_path"),
+        ],
+        ids=["record-into-a-missing-directory", "preset-without-dataset-paths"],
+    )
+    def test_a_refused_config_leaves_no_output_directory(self, tmp_path, capsys, command, refusal, message):
+        sweep = ["--axis", "alpha", "--values", "0.3,0.6"] if command == "sweep" else []
+        refusal = [arg.format(tmp=tmp_path) for arg in refusal]
+        assert main([command, "--output-dir", str(tmp_path / "out"), *sweep, *self.RUN_FLAGS, *refusal]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which", ["dataset", "cache"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_an_unreadable_input_file_exits_two(self, tmp_path, capsys, which, kind):
+        bad = tmp_path / "bad.jsonl"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "not-utf8":
+            bad.write_bytes(b'{"text": "caf\xe9", "label": "a"}\n')
+        if which == "dataset":
+            for split in ("holdout", "test"):
+                rows = [{"text": f"{split} {i}", "label": "ab"[i % 2]} for i in range(4)]
+                (tmp_path / f"{split}.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+            source = [
+                "--task", "custom", "--initial-prompt", "x", "--labels", "a,b", "--train-path", str(bad),
+                "--holdout-path", str(tmp_path / "holdout.jsonl"), "--test-path", str(tmp_path / "test.jsonl"),
+            ]
+        else:
+            source = ["--cache-mode", "replay", "--cache-path", str(bad)]
+        assert main(["run", "--output-dir", str(tmp_path / "out"), *self.RUN_FLAGS, *source]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("document", ["[]\n", "false\n"])
     def test_a_config_file_that_is_not_a_mapping_exits_two(self, tmp_path, capsys, document):

@@ -258,7 +258,7 @@ def test_record_and_budget_stress():
             assert by_prompt.setdefault(request.prompt_text, answer) == answer
 
 
-def small_run_config() -> RunConfig:
+def small_run_config(mode="case2_gradient", use_momentum=True, temperature=0.7) -> RunConfig:
     return RunConfig(
         total_iterations=4,
         batch_size=4,
@@ -267,9 +267,10 @@ def small_run_config() -> RunConfig:
         hypothesis_preset="custom",
         seed=3,
         generation=GenerationParams(
-            alpha=0.6, max_total_tokens=30, block_tokens=10, temperature=0.7, candidates=5,
-            mode="case2_gradient",
+            alpha=0.6, max_total_tokens=30, block_tokens=10, temperature=temperature, candidates=5,
+            mode=mode,
         ),
+        use_momentum=use_momentum,
     )
 
 
@@ -288,12 +289,34 @@ def test_budget_holds_under_concurrency_and_the_partial_log_matches():
     assert concurrent == sequential
 
 
-def test_run_stamps_its_seed_on_sampled_requests_only():
+def seeds_by_phase(config: RunConfig) -> dict[str, set[int]]:
+    """The ``sample_seed`` values that each phase of a run of ``config``
+    sent, keyed by the first part of the tag."""
     task = synthetic_binding(n_train=12, n_holdout=6, n_test=6, seed=7)
     model = Recorder(ScriptedBackend(default_response=" blue"))
-    run_tsgd(dataclasses.replace(small_run_config(), seed=41), task, model)
-    assert {r.sample_seed for r in model.requests if r.temperature > 0} == {41}
-    assert {r.sample_seed for r in model.requests if r.temperature == 0} == {0}
+    run_tsgd(config, task, model)
+    seeds: dict[str, set[int]] = {}
+    for request in model.requests:
+        seeds.setdefault(request.request_tag.split("/")[0], set()).add(request.sample_seed)
+    return seeds
+
+
+def test_run_stamps_its_seed_on_sampled_requests_only():
+    """In every update rule the refine blocks, and in gradient mode the
+    analyses, carry the run's seed; the greedy passes carry 0."""
+    for rule, (mode, use_momentum) in UPDATE_RULES.items():
+        config = dataclasses.replace(small_run_config(mode, use_momentum), seed=41)
+        expected = {"refine": {41}, "score": {0}}
+        if mode == "case2_gradient":
+            expected.update(analyze={41}, predict={0})
+        assert seeds_by_phase(config) == expected, rule
+
+
+@pytest.mark.parametrize("rule", UPDATE_RULES)
+def test_a_greedy_run_stamps_no_seed(rule):
+    mode, use_momentum = UPDATE_RULES[rule]
+    config = dataclasses.replace(small_run_config(mode, use_momentum, temperature=0.0), seed=41)
+    assert set().union(*seeds_by_phase(config).values()) == {0}
 
 
 def test_run_tsgd_result_independent_of_max_inflight():

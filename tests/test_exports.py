@@ -2,9 +2,12 @@
 each export once, the names the one update rule, the one scoring path and
 the one backend settings class replaced stay gone, so do the history and
 weight wrappers, the record's unread score, the scripted call log, the
-round helpers that ``_Round`` folded in, the enums that restated the
-config's cache mode and scoring rule, the scorer that copied the task's
-scoring rule, three parameters no caller set, and README's code runs."""
+round helpers that ``_Round`` folded in, the request builders and the
+seed-stamping view it took over, the enums that restated the config's
+cache mode and scoring rule, the scorer that copied the task's scoring
+rule, two error types nothing could raise, two parameters no caller set,
+a record holds only its instruction and analysis, and README's code
+runs."""
 
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import tsgdm
+import tsgdm.errors
 import tsgdm.gateway
 import tsgdm.optimizer
 import tsgdm.task
@@ -41,10 +45,14 @@ REMOVED = {
         "_maker",
         "_Candidates",
         "generate_candidate",
+        "compute_textual_gradient",
+        "concat_momentum_prompt",
+        "_RunDraws",
     ),
     tsgdm.task: ("binding_from_preset", "score_prompts", "ScoreKind", "ScoreFunction", "predict"),
     tsgdm.task.TaskBinding: ("score_kind", "score_function"),
     tsgdm.gateway: ("RemoteConfig", "CacheMode"),
+    tsgdm.errors: ("EmptyHistoryError", "EmptyBatchError"),
 }
 
 
@@ -78,7 +86,6 @@ def test_run_tsgd_takes_no_score_fn_or_rng():
     [
         (tsgdm.ScriptedBackend, "default_finish_reason"),
         (tsgdm.synthetic_binding, "name"),
-        (tsgdm.compute_textual_gradient, "analyze_template"),
     ],
 )
 def test_a_parameter_no_caller_set_is_gone(function, name):
@@ -90,7 +97,8 @@ def test_scripted_backend_keeps_no_call_log():
 
 
 def test_prompt_record_has_no_holdout_score():
-    assert "holdout_score" not in {f.name for f in dataclasses.fields(tsgdm.PromptRecord)}
+    """A record is what later rounds read: the instruction and its analysis."""
+    assert [f.name for f in dataclasses.fields(tsgdm.PromptRecord)] == ["prompt_text", "gradient_text"]
 
 
 def test_readme_python_blocks_run():

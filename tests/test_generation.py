@@ -1,6 +1,6 @@
 """Candidate generation: a candidate's blocks, draw plans, momentum
 sampling, concat baseline, textual gradients. Candidates are written by
-:func:`conftest.write_candidates`."""
+:func:`conftest.write_candidates`; the analysis by a round run on a batch."""
 
 from __future__ import annotations
 
@@ -9,23 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgdm import (
-    CONCAT_HISTORY_PROMPT,
     DomainError,
-    EmptyBatchError,
-    EmptyHistoryError,
     FinishReason,
     GenerationMode,
     GenerationParams,
+    LabeledExample,
     PromptRecord,
     ScriptRule,
     ScriptedBackend,
-    compute_textual_gradient,
-    concat_momentum_prompt,
     momentum_weights,
     sample_source,
     substream,
+    synthetic_binding,
 )
 from tsgdm import optimizer
+from tsgdm.gateway import SEQUENTIAL
 from tsgdm.optimizer import draw_plan
 from tsgdm.rng import STREAM_CANDIDATES
 from conftest import Recorder, write_candidates
@@ -33,7 +31,7 @@ from conftest import Recorder, write_candidates
 
 def history_of(*prompts, gradients=None):
     return tuple(
-        PromptRecord(iteration=i, prompt_text=prompt, gradient_text=gradients[i] if gradients else None)
+        PromptRecord(prompt_text=prompt, gradient_text=gradients[i] if gradients else None)
         for i, prompt in enumerate(prompts)
     )
 
@@ -87,7 +85,7 @@ class TestGenerationParams:
         assert case1(refine_template="{prompt} {{braces}}").refine_template == "{prompt} {{braces}}"
 
 
-BASE = PromptRecord(0, "base")
+BASE = PromptRecord("base")
 
 
 def vanilla(record, gen, backend):
@@ -150,27 +148,19 @@ class TestBlockLoop:
 class TestVanillaConditioning:
     def test_contains_template_and_prompt_verbatim(self):
         backend = Recorder(ScriptedBackend())
-        vanilla(PromptRecord(0, "MY INSTRUCTION"), case1(), backend)
+        vanilla(PromptRecord("MY INSTRUCTION"), case1(), backend)
         prompt = backend.requests[0].prompt_text
         assert "MY INSTRUCTION" in prompt
         assert "Improved instruction:" in prompt
 
     def test_case2_includes_gradient(self):
         backend = Recorder(ScriptedBackend())
-        record = PromptRecord(0, "base", gradient_text="THE ANALYSIS")
+        record = PromptRecord("base", gradient_text="THE ANALYSIS")
         vanilla(record, case1(mode="case2_gradient"), backend)
         assert "THE ANALYSIS" in backend.requests[0].prompt_text
 
-    def test_case2_without_gradient_raises(self):
-        with pytest.raises(EmptyBatchError):
-            vanilla(PromptRecord(0, "base"), case1(mode="case2_gradient"), ScriptedBackend())
-
 
 class TestMomentumGenerate:
-    def test_empty_history_raises(self):
-        with pytest.raises(EmptyHistoryError):
-            momentum((), case1(), 0, ScriptedBackend())
-
     def test_single_record_conditions_on_it_regardless_of_alpha(self):
         for alpha in (0.0, 0.5, 1.0):
             backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "b ", finish_reason=FinishReason.LENGTH)]))
@@ -183,7 +173,7 @@ class TestMomentumGenerate:
         mom_backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "t ", finish_reason=FinishReason.LENGTH)]))
         van_backend = Recorder(ScriptedBackend(rules=[ScriptRule("", "t ", finish_reason=FinishReason.LENGTH)]))
         mom = momentum(history, gen, 11, mom_backend)
-        van = vanilla(history[2], gen, van_backend)
+        van = write_candidates(history, gen, van_backend, momentum=False, seed=11)[0]
         assert mom == van
         assert mom_backend.requests == van_backend.requests
         assert all("p2" in r.prompt_text for r in mom_backend.requests)
@@ -251,42 +241,46 @@ def past_block(text):
     return text.split("<PAST_ITERATIONS>\n")[1].split("\n</PAST_ITERATIONS>")[0]
 
 
+def concat_conditioning(*prompts):
+    """The first refine request of a concat round over ``prompts``: its
+    conditioning, since the candidate is still empty."""
+    backend = Recorder(ScriptedBackend())
+    write_candidates(history_of(*prompts), case1(mode="concat_baseline"), backend)
+    return backend.requests[0].prompt_text
+
+
 class TestConcatPrompt:
     def test_window_covering_all(self):
-        text = concat_momentum_prompt(history_of("a", "b", "c"), CONCAT_HISTORY_PROMPT)
-        assert past_block(text) == "a\nb\nc"
+        assert past_block(concat_conditioning("a", "b", "c")) == "a\nb\nc"
 
     def test_single_record_appears_once(self):
-        text = concat_momentum_prompt(history_of("only-once"), CONCAT_HISTORY_PROMPT)
-        assert text.count("only-once") == 1
+        assert concat_conditioning("only-once").count("only-once") == 1
 
     def test_header_verbatim(self):
-        text = concat_momentum_prompt(history_of("p"), CONCAT_HISTORY_PROMPT)
-        assert "Here are the past iterations of this variable" in text
+        assert "Here are the past iterations of this variable" in concat_conditioning("p")
 
-    def test_errors(self):
-        with pytest.raises(EmptyHistoryError):
-            concat_momentum_prompt((), CONCAT_HISTORY_PROMPT)
+
+def analyzed(prompt, backend):
+    """Run a gradient-mode round over ``prompt`` on a one-example batch,
+    ("a", gold "pos"); return the round's history."""
+    history = [PromptRecord(prompt)]
+    batch = (LabeledExample("a", "pos"),)
+    step = optimizer._Round(
+        history, case1(mode="case2_gradient"), False, 0, backend, synthetic_binding(n_holdout=0), batch
+    )
+    SEQUENTIAL.run(step.tasks())
+    return history
 
 
 class TestTextualGradient:
     def test_returns_scripted_completion_verbatim(self):
         backend = ScriptedBackend(default_response="Errors: the prompt ignores sarcasm")
-        record = PromptRecord(0, "p", batch_triples=(("x", "pos", "neg"),))
-        gen = case1(mode="case2_gradient")
-        out = compute_textual_gradient(record, backend, gen)
-        assert out == "Errors: the prompt ignores sarcasm"
+        assert analyzed("p", backend)[-1] == PromptRecord("p", "Errors: the prompt ignores sarcasm")
 
     def test_rendered_prompt_contains_all_parts(self):
-        backend = Recorder(ScriptedBackend())
-        record = PromptRecord(0, "Classify X", batch_triples=(("a", "pos", "neg"),))
-        gen = case1(mode="case2_gradient")
-        compute_textual_gradient(record, backend, gen)
-        rendered = backend.requests[0].prompt_text
-        for part in ("Classify X", "a", "pos", "neg"):
-            assert part in rendered
-
-    def test_empty_batch_raises(self):
-        gen = case1(mode="case2_gradient")
-        with pytest.raises(EmptyBatchError):
-            compute_textual_gradient(PromptRecord(0, "p"), ScriptedBackend(), gen)
+        backend = Recorder(ScriptedBackend(default_response=" neg"))
+        analyzed("Classify X", backend)
+        (request,) = [r for r in backend.requests if r.request_tag.startswith("analyze/")]
+        assert request.request_tag == "analyze/iter0"
+        for part in ("Classify X", "input: a", "gold: pos", "predicted: neg"):
+            assert part in request.prompt_text

@@ -19,7 +19,6 @@ from tsgdm import (
     HypothesisPreset,
     LabeledExample,
     NetworkError,
-    PromptRecord,
     REFINE_PROMPT,
     RunConfig,
     ScriptRule,
@@ -126,12 +125,6 @@ class TestPresets:
             RunConfig(batch_size=0)
         with pytest.raises(DomainError):
             RunConfig(patience=0)
-
-
-class TestHistoryTypes:
-    def test_record_validation(self):
-        with pytest.raises(DomainError):
-            PromptRecord(-1, "a")
 
 
 def chain_hits(task, *hits):

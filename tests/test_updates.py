@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from tsgdm import (
     CompletionResult,
-    EmptyHistoryError,
     FinishReason,
     GenerationParams,
     PromptRecord,
@@ -64,7 +63,7 @@ class HitMatrix:
 
 
 def history_of(*prompts):
-    return tuple(PromptRecord(iteration=i, prompt_text=prompt) for i, prompt in enumerate(prompts))
+    return tuple(PromptRecord(prompt) for prompt in prompts)
 
 
 def gen_with(k, **kwargs):
@@ -97,10 +96,6 @@ def chain_backend():
 
 
 class TestUpdateMom:
-    def test_empty_history(self):
-        with pytest.raises(EmptyHistoryError):
-            write_candidates((), gen_with(1), ScriptedBackend())
-
     def test_k3_argmax(self, tiny_task):
         hits = {"cand-a": 1, "cand-b": 5, "cand-c": 3}
         row = one_round(tiny_task, gen_with(3), TagBackend(["cand-a", "cand-b", "cand-c"]), hits)
@@ -206,7 +201,3 @@ class TestUpdateConcat:
         rendered = backend.requests[0].prompt_text
         assert "alpha-p\nbeta-p\ngamma-p" in rendered
         assert "Here are the past iterations of this variable" in rendered
-
-    def test_empty_history(self):
-        with pytest.raises(EmptyHistoryError):
-            write_candidates((), gen_with(1, mode="concat_baseline"), ScriptedBackend())
