@@ -33,7 +33,7 @@ from .config import (  # noqa: F401
     parse_config,
     parse_config_data,
 )
-from .errors import ConfigError, TsgdmError
+from .errors import ConfigError, ProtocolError, TsgdmError
 from .gateway import (
     Backend,
     CachingBackend,
@@ -124,7 +124,10 @@ def build_cache(settings: BackendSettings) -> ReplayCache | None:
         return ReplayCache(backend=identity)
     if not exists:
         raise ConfigError(f"backend.cache_path: replay needs an existing file, got {path!r}")
-    cache = ReplayCache.load(path, replay=replay)
+    try:
+        cache = ReplayCache.load(path, replay=replay)
+    except ProtocolError as exc:
+        raise ConfigError(f"backend.cache_path: {exc}") from exc
     if cache.backend != identity:
         recorded = "no backend header" if cache.backend is None else f"backend {_describe(cache.backend)}"
         raise ConfigError(
@@ -368,6 +371,10 @@ _FLAG_HELP = {
     "task": "task preset name, 'synthetic', or 'custom'",
     "labels": "comma-separated label set for custom tasks",
     "max_inflight": f"gateway calls in flight per trial (default {BackendSettings.max_inflight}; 1 is sequential)",
+    "max_gateway_calls": (
+        "gateway calls each trial's optimizer may make; the final test pass is not counted, and reaching "
+        "the budget fails the trial with BudgetExceededError and keeps its rows"
+    ),
     "no_momentum": "use the vanilla update",
     "values": "comma-separated axis values",
 }

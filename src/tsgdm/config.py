@@ -16,6 +16,7 @@ together.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -102,7 +103,7 @@ class BackendSettings:
     scripted_default_response: str = DEFAULT_SCRIPTED_RESPONSE
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:
             raise DomainError(f"timeout_s must be > 0, got {self.timeout_s}")
         check_minimums(self, max_attempts=1, max_inflight=1)
         if self.cache_mode != "off" and not self.cache_path:
@@ -150,7 +151,10 @@ class ExperimentConfig:
 _SCALARS = {
     bool: ("true/false", lambda value: isinstance(value, bool)),
     int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
-    float: ("a number", lambda value: isinstance(value, (int, float)) and not isinstance(value, bool)),
+    float: (
+        "a finite number",
+        lambda value: isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
+    ),
     str: ("a string", lambda value: isinstance(value, str)),
 }
 

@@ -12,10 +12,10 @@ class DomainError(TsgdmError, ValueError):
 
 def check_minimums(config: object, **minimums: float) -> None:
     """Raise :class:`DomainError` for the first named field of ``config``
-    below its minimum. A None field is unset and passes."""
+    below its minimum or NaN. A None field is unset and passes."""
     for name, low in minimums.items():
         value = getattr(config, name)
-        if value is not None and value < low:
+        if value is not None and not value >= low:
             raise DomainError(f"{name} must be >= {low}, got {value}")
 
 

@@ -9,6 +9,7 @@ flight with results in call order.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -98,8 +99,11 @@ class CompletionResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "finish_reason", FinishReason(self.finish_reason))
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise DomainError("token counts must be >= 0")
+        if type(self.text) is not str:
+            raise DomainError(f"text must be a string, got {self.text!r}")
+        for count in (self.prompt_tokens, self.completion_tokens):
+            if type(count) is not int or count < 0:
+                raise DomainError(f"token counts must be integers >= 0, got {count!r}")
 
 
 class Backend(Protocol):
@@ -384,7 +388,9 @@ _FINISH_ALIASES = {
 
 _RETRY_STATUSES = frozenset({429, 500, 502, 503, 504})
 _RETRY_AFTER_STATUSES = frozenset({429, 503})
-# A backoff is stretched by a random share of up to this much of itself.
+# Retry n waits _BACKOFF_BASE_S * 2**(n-1) seconds, stretched by a random
+# share of up to _BACKOFF_JITTER of itself.
+_BACKOFF_BASE_S = 0.5
 _BACKOFF_JITTER = 0.5
 # urllib3 keeps this many connections per host unless told otherwise.
 _DEFAULT_POOL_SIZE = 10
@@ -414,7 +420,7 @@ class RemoteBackend:
     retried up to ``max_attempts`` total attempts; 401/403 raise
     :class:`AuthError` immediately, other client errors and unparseable
     bodies raise :class:`ProtocolError`. Retry ``n`` waits
-    ``backoff_base_s * 2**(n-1)``, stretched by a random share of up to half
+    ``0.5 * 2**(n-1)`` seconds, stretched by a random share of up to half
     of itself so that concurrent callers do not retry in lockstep, and never
     less than a 429/503 response's ``Retry-After`` seconds. ``rand`` draws
     the jitter share in [0, 1).
@@ -426,10 +432,7 @@ class RemoteBackend:
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rand: Callable[[], float] = random.random,
-        backoff_base_s: float = 0.5,
     ) -> None:
-        if backoff_base_s < 0:
-            raise DomainError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
         self.settings = settings
         if session is None:
             session = requests.Session()
@@ -440,12 +443,11 @@ class RemoteBackend:
         self._session = session
         self._sleep = sleep
         self._rand = rand
-        self._backoff_base_s = backoff_base_s
         path = "/chat/completions" if settings.chat else "/completions"
         self._url = settings.base_url.rstrip("/") + path
 
     def _backoff_s(self, attempt: int, retry_after_s: float) -> float:
-        delay = self._backoff_base_s * 2 ** (attempt - 1)
+        delay = _BACKOFF_BASE_S * 2 ** (attempt - 1)
         delay *= 1.0 + _BACKOFF_JITTER * self._rand()
         return max(delay, retry_after_s)
 
@@ -567,25 +569,25 @@ class ReplayCache:
         self.replay = replay
         self.entries: dict[str, CompletionResult] = dict(entries or {})
         self.backend = None if backend is None else dict(backend)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
 
     def __len__(self) -> int:
         with self._lock:
             return len(self.entries)
 
-    def lookup(self, digest: str) -> CompletionResult | None:
-        with self._lock:
-            return self.entries.get(digest)
-
-    def record(self, digest: str, request: CompletionRequest, inner: Backend) -> CompletionResult:
-        """The stored result for ``digest`` (the request's), or else the
-        inner backend's, stored; exactly one inner call per digest however
-        many threads ask at once. Waiters of a failed call get its exception."""
+    def answer(self, request: CompletionRequest, inner: Backend) -> CompletionResult:
+        """The stored result for ``request``'s digest. Otherwise a replay
+        cache raises :class:`CacheMissError`, and a recording cache stores
+        ``inner``'s result: exactly one inner call per digest however many
+        threads ask at once, whose waiters share its result or exception."""
+        digest = request.digest()
         with self._lock:
             found = self.entries.get(digest)
             if found is not None:
                 return found
+            if self.replay:
+                raise CacheMissError(f"no cached result for digest {digest}")
             pending = self._inflight.get(digest)
             leader = pending is None
             if leader:
@@ -617,19 +619,8 @@ class ReplayCache:
         if self.backend is not None:
             lines.append(json.dumps({"backend": self.backend}, sort_keys=True, ensure_ascii=False))
         for digest, result in items:
-            lines.append(
-                json.dumps(
-                    {
-                        "digest": digest,
-                        "text": result.text,
-                        "finish_reason": result.finish_reason.value,
-                        "prompt_tokens": result.prompt_tokens,
-                        "completion_tokens": result.completion_tokens,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
+            row = {"digest": digest, **dataclasses.asdict(result)}
+            lines.append(json.dumps(row, sort_keys=True, ensure_ascii=False))
         path = Path(path)
         temp = path.with_name(path.name + ".tmp")
         with open(temp, "w", encoding="utf-8") as handle:
@@ -640,6 +631,10 @@ class ReplayCache:
 
     @classmethod
     def load(cls, path: str | Path, replay: bool = True) -> "ReplayCache":
+        """The cache saved at ``path``. A row is a digest with the fields of
+        its :class:`CompletionResult`; a missing token count loads as 0. An
+        unreadable file or a bad row raises :class:`ProtocolError`, the row
+        named by its line."""
         entries: dict[str, CompletionResult] = {}
         backend = None
         try:
@@ -654,13 +649,10 @@ class ReplayCache:
                 if lineno == 1 and "backend" in row:
                     backend = row["backend"]
                     continue
-                entries[row["digest"]] = CompletionResult(
-                    text=row["text"],
-                    finish_reason=FinishReason(row["finish_reason"]),
-                    prompt_tokens=int(row.get("prompt_tokens", 0)),
-                    completion_tokens=int(row.get("completion_tokens", 0)),
-                )
-            except (ValueError, KeyError, TypeError) as exc:
+                # Popped first: the right-hand side of an assignment runs first.
+                digest = row.pop("digest")
+                entries[digest] = CompletionResult(**row)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ProtocolError(f"{path}:{lineno}: bad cache line: {exc!r}") from exc
         return cls(replay=replay, entries=entries, backend=backend)
 
@@ -679,13 +671,7 @@ class CachingBackend:
         return not self.cache.replay and waits_on_io(self.inner)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        digest = request.digest()
-        if self.cache.replay:
-            found = self.cache.lookup(digest)
-            if found is None:
-                raise CacheMissError(f"no cached result for digest {digest}")
-            return found
-        return self.cache.record(digest, request, self.inner)
+        return self.cache.answer(request, self.inner)
 
 
 class CallCounter:

@@ -94,10 +94,14 @@ class GenerationMode(str, Enum):
     CONCAT_BASELINE = "concat_baseline"
 
 
-_DEFAULT_REFINE = {
-    GenerationMode.CASE1_META_PROMPT: templates.REFINE_PROMPT,
-    GenerationMode.CASE2_GRADIENT: templates.REFINE_WITH_FEEDBACK_PROMPT,
-    GenerationMode.CONCAT_BASELINE: templates.CONCAT_HISTORY_PROMPT,
+# Each mode's refine template: its name in an error message, its default
+# and the fields it renders with.
+_REFINE = {
+    GenerationMode.CASE1_META_PROMPT: ("refine_template", templates.REFINE_PROMPT, ("prompt",)),
+    GenerationMode.CASE2_GRADIENT: (
+        "gradient-mode refine_template", templates.REFINE_WITH_FEEDBACK_PROMPT, ("prompt", "gradient")
+    ),
+    GenerationMode.CONCAT_BASELINE: ("concat-baseline refine_template", templates.CONCAT_HISTORY_PROMPT, ("history",)),
 }
 
 
@@ -125,23 +129,16 @@ class GenerationParams:
             raise DomainError(
                 f"block_tokens must be in [1, max_total_tokens], got {self.block_tokens}"
             )
+        # Every template this mode renders must name its fields and render
+        # with exactly those fields, so a bad template fails here and not mid-run.
+        name, default, fields = _REFINE[self.mode]
         if self.refine_template is None:
-            self.refine_template = _DEFAULT_REFINE[self.mode]
-        if self.analyze_template is None and self.mode is GenerationMode.CASE2_GRADIENT:
-            self.analyze_template = templates.ANALYZE_PROMPT
-        self._check_placeholders()
-
-    def _check_placeholders(self) -> None:
-        """Every template this mode renders must name its fields and render
-        with exactly those fields, so a bad template fails here and not
-        mid-run."""
-        if self.mode is GenerationMode.CONCAT_BASELINE:
-            templates.check_template("concat-baseline refine_template", self.refine_template, ("history",))
-        elif self.mode is GenerationMode.CASE2_GRADIENT:
-            templates.check_template("gradient-mode refine_template", self.refine_template, ("prompt", "gradient"))
+            self.refine_template = default
+        templates.check_template(name, self.refine_template, fields)
+        if self.mode is GenerationMode.CASE2_GRADIENT:
+            if self.analyze_template is None:
+                self.analyze_template = templates.ANALYZE_PROMPT
             templates.check_template("analyze_template", self.analyze_template, ("prompt", "examples"))
-        else:
-            templates.check_template("refine_template", self.refine_template, ("prompt",))
 
 
 class HypothesisPreset(str, Enum):
@@ -263,14 +260,15 @@ def draw_plan(weights: Sequence[float], blocks: int, rng: RandomStream) -> tuple
     return tuple(sample_source(weights, rng) for _ in range(blocks))
 
 
-def _conditioning_text(gen: GenerationParams, record: PromptRecord) -> str:
-    """Refine conditioning for one source record; a sampled record always
-    travels with its own error analysis in gradient mode."""
-    if gen.mode is GenerationMode.CASE2_GRADIENT:
-        return gen.refine_template.format(
-            prompt=record.prompt_text, gradient=record.gradient_text
-        )
-    return gen.refine_template.format(prompt=record.prompt_text)
+def _conditioning_text(gen: GenerationParams, history: Sequence[PromptRecord], source: int) -> str:
+    """The refine conditioning of a block drawn from ``history[source]``:
+    the whole history joined in concat mode, else the source record, which
+    in gradient mode travels with its own error analysis (a case1 template
+    renders with ``prompt`` alone and ignores it)."""
+    if gen.mode is GenerationMode.CONCAT_BASELINE:
+        return gen.refine_template.format(history="\n".join(record.prompt_text for record in history))
+    record = history[source]
+    return gen.refine_template.format(prompt=record.prompt_text, gradient=record.gradient_text)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +332,10 @@ class _Round:
         self.batch = batch
         self.t = len(history) - 1
         self.sample_seed = seed if gen.temperature else 0
+        self.conditioning = functools.cache(functools.partial(_conditioning_text, gen, history))
         self.weights = None
-        if gen.mode is GenerationMode.CONCAT_BASELINE:
-            joined = gen.refine_template.format(history="\n".join(record.prompt_text for record in history))
-            self.conditioning = lambda source: joined
-        else:
-            self.conditioning = functools.cache(lambda source: _conditioning_text(gen, history[source]))
-            if momentum and self.t > 0:
-                self.weights = momentum_weights(gen.alpha, self.t)
+        if momentum and self.t > 0 and gen.mode is not GenerationMode.CONCAT_BASELINE:
+            self.weights = momentum_weights(gen.alpha, self.t)
         k = gen.candidates
         self.plans: list[tuple[int, ...] | None] = [None] * k
         self.parts: list[list[str]] = [[] for _ in range(k)]

@@ -184,6 +184,12 @@ class TaskBinding:
         if not self.exact_match and not self.label_set:
             raise DomainError("classification tasks need a nonempty label_set")
         check_template("forward_template", self.forward_template, ("prompt", "input"))
+        needles = [normalize_text(label) for label in self.label_set]
+        blurred = [label for label, needle in zip(self.label_set, needles) if not needle or needles.count(needle) > 1]
+        if blurred:
+            raise DomainError(
+                f"label_set: {blurred} normalize to nothing or to the same text, so no answer can parse to them"
+            )
         seen: dict[str, str] = {}
         for split_name, split in (("train", self.train), ("holdout", self.holdout), ("test", self.test)):
             for example in split:

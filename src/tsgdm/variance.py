@@ -43,8 +43,8 @@ class EmaModel:
     allow_degenerate_sigma: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0 or (self.sigma == 0.0 and not self.allow_degenerate_sigma):
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.sigma) or self.sigma < 0.0 or (self.sigma == 0.0 and not self.allow_degenerate_sigma):
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0.0 < self.alpha <= 1.0:
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.horizon < 0:
@@ -81,21 +81,17 @@ def simulate_ema(model: EmaModel, trials: int, rng: RandomStream) -> tuple[float
     the horizon, plus the standard error of that estimate.
 
     Draws one vector of standard normals per step so memory stays linear in
-    trials, not trials * horizon.
+    trials, not trials * horizon. The standard error needs at least 2 trials.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    if trials < 2:
+        raise DomainError(f"trials must be >= 2, got {trials}")
     a = model.alpha
     y = model.mu + model.sigma * rng.standard_normal(trials)
     for _ in range(model.horizon):
         sample = model.mu + model.sigma * rng.standard_normal(trials)
         y = a * sample + (1.0 - a) * y
     squared = (y - model.mu) ** 2
-    mse = float(squared.mean())
-    if trials == 1:
-        return mse, 0.0
-    std_error = float(squared.std(ddof=1) / math.sqrt(trials))
-    return mse, std_error
+    return float(squared.mean()), float(squared.std(ddof=1) / math.sqrt(trials))
 
 
 @dataclass(frozen=True)

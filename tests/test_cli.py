@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ import tsgdm.cli as cli
 from tsgdm import (
     ConfigError,
     DomainError,
+    GenerationParams,
     HypothesisPreset,
     ReplayCache,
     ScriptedBackend,
@@ -156,6 +158,9 @@ REFUSALS = [
     (lambda: BackendSettings(max_inflight=0), "max_inflight must be >= 1, got 0"),
     (lambda: BackendSettings(max_attempts=0), "max_attempts must be >= 1, got 0"),
     (lambda: BackendSettings(timeout_s=0.0), "timeout_s must be > 0, got 0.0"),
+    (lambda: BackendSettings(timeout_s=math.nan), "timeout_s must be > 0, got nan"),
+    (lambda: GenerationParams(temperature=math.nan), "temperature must be >= 0, got nan"),
+    (lambda: ExperimentConfig(trials=math.nan), "trials must be >= 1, got nan"),
     (lambda: BackendSettings(cache_mode="record"), "cache_path: required for cache_mode 'record'"),
     (lambda: BackendSettings(cache_mode="replay"), "cache_path: required for cache_mode 'replay'"),
 ]
@@ -245,6 +250,8 @@ class TestParseSweep:
         with pytest.raises(ConfigError, match="integers"):
             parse_config("sweep:\n  axis: batch_size\n  values: [2.5]\n")
         with pytest.raises(ConfigError, match=r"sweep.values\[0\]: train_size values must be integers"):
+            parse_config("sweep:\n  axis: train_size\n  values: [10.5]\n")
+        with pytest.raises(ConfigError, match=r"sweep.values\[0\]: expected a finite number, got inf"):
             parse_config("sweep:\n  axis: train_size\n  values: [.inf]\n")
 
     def test_temperature_sweep_needs_custom_preset(self):
@@ -631,8 +638,10 @@ class TestMain:
         [
             (["--cache-mode", "record", "--cache-path", "{tmp}/missing/c.jsonl"], "record needs an existing directory"),
             (["--task", "mpqa"], "needs train_path, holdout_path and test_path"),
+            (["--preset", "custom", "--temperature", "nan"], "run.generation.temperature: expected a finite number"),
+            (["--preset", "custom", "--temperature", "inf"], "run.generation.temperature: expected a finite number"),
         ],
-        ids=["record-into-a-missing-directory", "preset-without-dataset-paths"],
+        ids=["record-into-a-missing-directory", "preset-without-dataset-paths", "nan-temperature", "inf-temperature"],
     )
     def test_a_refused_config_leaves_no_output_directory(self, tmp_path, capsys, command, refusal, message):
         sweep = ["--axis", "alpha", "--values", "0.3,0.6"] if command == "sweep" else []
@@ -660,7 +669,21 @@ class TestMain:
         else:
             source = ["--cache-mode", "replay", "--cache-path", str(bad)]
         assert main(["run", "--output-dir", str(tmp_path / "out"), *self.RUN_FLAGS, *source]) == 2
-        assert str(bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert which == "dataset" or "error: backend.cache_path: " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_labels_that_cannot_be_told_apart_exit_two(self, tmp_path, capsys):
+        """Every answer would parse to neither label and be scored wrong."""
+        paths = []
+        for split in ("train", "holdout", "test"):
+            path = tmp_path / f"{split}.jsonl"
+            path.write_text(json.dumps({"text": split, "label": "a"}) + "\n", encoding="utf-8")
+            paths += [f"--{split}-path", str(path)]
+        argv = ["run", "--output-dir", str(tmp_path / "out"), "--task", "custom", "--initial-prompt", "x"]
+        assert main([*argv, "--labels", "a,a", *paths, *self.RUN_FLAGS]) == 2
+        assert "error: task: label_set: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("document", ["[]\n", "false\n"])
@@ -704,7 +727,12 @@ class TestMain:
         out = tmp_path / "var"
         for flags, message in (
             (["--alphas", ",,", "--trials", "10"], "error: alphas and horizons must be nonempty"),
-            (["--trials", "0"], "error: trials must be >= 1, got 0"),
+            (["--trials", "0"], "error: trials must be >= 2, got 0"),
+            # One trial has no standard error, so every cell would be flagged.
+            (["--trials", "1"], "error: trials must be >= 2, got 1"),
+            # A NaN sigma would write a report of NaN, which is not JSON.
+            (["--sigma", "nan", "--trials", "10"], "error: sigma must be finite and > 0, got nan"),
+            (["--sigma", "inf", "--trials", "10"], "error: sigma must be finite and > 0, got inf"),
         ):
             assert main(["variance", *flags, "--output-dir", str(out)]) == 2
             assert message in capsys.readouterr().err

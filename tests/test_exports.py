@@ -5,9 +5,9 @@ weight wrappers, the record's unread score, the scripted call log, the
 round helpers that ``_Round`` folded in, the request builders and the
 seed-stamping view it took over, the enums that restated the config's
 cache mode and scoring rule, the scorer that copied the task's scoring
-rule, two error types nothing could raise, two parameters no caller set,
-a record holds only its instruction and analysis, and README's code
-runs."""
+rule, two error types nothing could raise, three parameters no caller
+set and the cache's second way to answer, a record holds only its
+instruction and analysis, and README's code runs."""
 
 from __future__ import annotations
 
@@ -52,6 +52,7 @@ REMOVED = {
     tsgdm.task: ("binding_from_preset", "score_prompts", "ScoreKind", "ScoreFunction", "predict"),
     tsgdm.task.TaskBinding: ("score_kind", "score_function"),
     tsgdm.gateway: ("RemoteConfig", "CacheMode"),
+    tsgdm.gateway.ReplayCache: ("lookup", "record"),
     tsgdm.errors: ("EmptyHistoryError", "EmptyBatchError"),
 }
 
@@ -86,6 +87,7 @@ def test_run_tsgd_takes_no_score_fn_or_rng():
     [
         (tsgdm.ScriptedBackend, "default_finish_reason"),
         (tsgdm.synthetic_binding, "name"),
+        (tsgdm.RemoteBackend, "backoff_base_s"),
     ],
 )
 def test_a_parameter_no_caller_set_is_gone(function, name):

@@ -201,6 +201,30 @@ class TestReplayCache:
         with pytest.raises(ProtocolError):
             ReplayCache.load(path)
 
+    def test_load_takes_a_row_as_exactly_the_result_fields(self, tmp_path):
+        """A row missing a token count loads it as 0; a row with a key the
+        result does not have, a text that is not a string, a count that is
+        not an integer, or a row that is not an object is refused, naming
+        its line."""
+        path = tmp_path / "cache.jsonl"
+        header = json.dumps({"backend": {"kind": "scripted"}}) + "\n"
+        row = {"digest": "d", "text": "x", "finish_reason": "stop"}
+        path.write_text(header + json.dumps(row) + "\n", encoding="utf-8")
+        assert ReplayCache.load(path).entries == {"d": CompletionResult("x", FinishReason.STOP, 0, 0)}
+        good = {"digest": "d", "text": "x", "finish_reason": "stop", "prompt_tokens": 1, "completion_tokens": 2}
+        for row in (
+            {**good, "model": "m"},
+            {**good, "text": 5},
+            {**good, "prompt_tokens": 1.5},
+            {**good, "completion_tokens": "2"},
+            {**good, "completion_tokens": True},
+            "d",
+            [good],
+        ):
+            path.write_text(header + json.dumps(row) + "\n", encoding="utf-8")
+            with pytest.raises(ProtocolError, match=f"{path.name}:2: bad cache line"):
+                ReplayCache.load(path)
+
     def test_record_keeps_sampled_candidates_apart(self):
         inner = Recorder(ScriptedBackend(default_response="sample"))
         cache = ReplayCache()
@@ -269,7 +293,7 @@ def make_remote(outcomes, chat=True, max_attempts=4, rand=lambda: 0.0):
     )
     session = FakeSession(outcomes)
     sleeps = []
-    backend = RemoteBackend(settings, session=session, sleep=sleeps.append, rand=rand, backoff_base_s=0.5)
+    backend = RemoteBackend(settings, session=session, sleep=sleeps.append, rand=rand)
     return backend, session, sleeps
 
 

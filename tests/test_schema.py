@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import math
 import re
 
 import pytest
@@ -189,6 +190,19 @@ def test_a_wrong_typed_value_names_its_path(dotted):
     _, _, bad, context = FIELDS[dotted]
     with pytest.raises(ConfigError, match=re.escape(dotted)):
         parse_config_data(merged(context, nest(dotted, bad)))
+
+
+# Every field that holds floats: a NaN or an infinity is refused there too.
+FLOAT_FIELDS = [dotted for dotted in sorted(FIELDS) if cli.field_type(dotted)[0] in (float, tuple[float, ...])]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("dotted", FLOAT_FIELDS)
+def test_a_number_that_is_not_finite_names_its_path(dotted, value):
+    _, _, _, context = FIELDS[dotted]
+    document = value if cli.field_type(dotted)[0] is float else [value]
+    with pytest.raises(ConfigError, match=re.escape(dotted) + r".*: expected a finite number"):
+        parse_config_data(merged(context, nest(dotted, document)))
 
 
 def listed_flags(command: str, capsys) -> dict:

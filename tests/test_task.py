@@ -288,6 +288,14 @@ class TestTaskBinding:
         with pytest.raises(DomainError):
             small_task(label_set=())
 
+    @pytest.mark.parametrize(
+        "label_set", [("yes", "no", "no"), ("yes", "no", "No!"), ("yes", "no", "?")], ids=["repeated", "case", "empty"]
+    )
+    def test_labels_parse_label_cannot_tell_apart_are_rejected(self, label_set):
+        """Such a label never parses, so every answer to it would be scored wrong."""
+        with pytest.raises(DomainError, match=r"label_set: \[.*'(no|No!|\?)'\]"):
+            small_task(label_set=label_set)
+
     @pytest.mark.parametrize("template", ["{prompt} {nope}", "{prompt}\nAnswer:", "{prompt} {input} {", "{prompt} {input} {}"])
     def test_forward_template_that_cannot_render_is_rejected(self, template):
         with pytest.raises(DomainError, match="forward_template"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -81,6 +82,10 @@ class TestClosedForm:
             mu=0.0, sigma=0.0, alpha=0.5, horizon=1, allow_degenerate_sigma=True
         )
         assert ema_mse_theory(degenerate) == 0.0
+        for sigma in (math.nan, math.inf):
+            for allow in (False, True):
+                with pytest.raises(DomainError, match="sigma must be finite"):
+                    EmaModel(mu=0.0, sigma=sigma, alpha=0.5, horizon=1, allow_degenerate_sigma=allow)
 
 
 class TestSimulation:
@@ -88,10 +93,10 @@ class TestSimulation:
         with pytest.raises(DomainError):
             simulate_ema(model(0.5, 1), 0, substream(0, STREAM_VARIANCE))
 
-    def test_single_trial_has_zero_std_error(self):
-        mse, std_error = simulate_ema(model(0.5, 3), 1, substream(0, STREAM_VARIANCE))
-        assert mse >= 0.0
-        assert std_error == 0.0
+    def test_a_single_trial_is_refused(self):
+        """One trial has no standard error, so every cell would be flagged."""
+        with pytest.raises(DomainError, match="trials must be >= 2, got 1"):
+            simulate_ema(model(0.5, 3), 1, substream(0, STREAM_VARIANCE))
 
     def test_degenerate_sigma_gives_exact_zero(self):
         m = EmaModel(mu=2.0, sigma=0.0, alpha=0.5, horizon=4, allow_degenerate_sigma=True)
