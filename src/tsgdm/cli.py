@@ -13,14 +13,11 @@ import dataclasses
 import json
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, get_args, get_origin
 
 # The config classes and parsers are re-exported: callers import them from here.
 from .config import (  # noqa: F401
-    DEFAULT_SCRIPTED_RESPONSE,
-    DEFAULT_SCRIPTED_RULES,
     BackendSettings,
     ExperimentConfig,
     SweepAxis,
@@ -41,6 +38,7 @@ from .gateway import (
     RemoteBackend,
     ReplayCache,
     ScriptedBackend,
+    ScriptRule,
     waits_on_io,
 )
 from .optimizer import run_tsgd
@@ -92,12 +90,23 @@ def build_task(settings: TaskSettings) -> TaskBinding:
         raise ConfigError(f"task: {exc}") from exc
 
 
+# The script of ``kind: scripted``, a demo for the synthetic task: forward
+# passes echo the marker word, refinement and analysis requests get canned
+# instruction text. Another script is a ScriptedBackend built in Python.
+_DEMO_INSTRUCTION = "Name the marker word at the end of the item description: blue or red."
+DEFAULT_SCRIPTED_RULES = (
+    ScriptRule("carries marker blue", " blue"),
+    ScriptRule("carries marker red", " red"),
+    ScriptRule("Improved instruction:", _DEMO_INSTRUCTION),
+    ScriptRule("Error analysis:", "The instruction does not say to copy the marker word, so answers drift."),
+    ScriptRule("Improved version:", _DEMO_INSTRUCTION),
+)
+DEFAULT_SCRIPTED_RESPONSE = " blue"
+
+
 def build_backend(settings: BackendSettings, cache: ReplayCache | None) -> Backend:
     if settings.kind == "scripted":
-        inner: Backend = ScriptedBackend(
-            rules=settings.scripted_rules,
-            default_response=settings.scripted_default_response,
-        )
+        inner: Backend = ScriptedBackend(rules=DEFAULT_SCRIPTED_RULES, default_response=DEFAULT_SCRIPTED_RESPONSE)
     else:
         inner = RemoteBackend(settings)
     if cache is None:
@@ -140,6 +149,16 @@ def build_cache(settings: BackendSettings) -> ReplayCache | None:
 # experiment execution
 
 
+def _make_output_dir(path: str) -> Path:
+    """The directory ``path``, made if missing; one that cannot be made,
+    such as an existing file, is a :class:`ConfigError`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: {exc}") from exc
+    return Path(path)
+
+
 def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
@@ -179,19 +198,16 @@ def run_experiment(config: ExperimentConfig, echo=print) -> dict:
     """Execute config.trials seeded runs and write per-trial files, the
     per-iteration log, and the aggregate summary into config.output_dir.
 
-    A record cache is saved even when a trial raises."""
+    Up to ``config.parallel_trials`` trials run at once on one
+    :class:`CallPool`; an error outside the package's own types stops
+    further trials from starting, and a record cache is saved even then."""
     task = build_task(config.task)
     cache = build_cache(config.backend)
-    out = Path(config.output_dir)  # made after the checks, so a refused run leaves none
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_output_dir(config.output_dir)  # after the checks, so a refused run leaves none
 
-    indices = list(range(config.trials))
     try:
-        if config.parallel_trials > 1:
-            with ThreadPoolExecutor(max_workers=config.parallel_trials) as pool:
-                trials = list(pool.map(lambda i: _run_one_trial(config, task, cache, i), indices))
-        else:
-            trials = [_run_one_trial(config, task, cache, i) for i in indices]
+        with CallPool(config.parallel_trials) as pool:
+            trials = pool.map(lambda i: _run_one_trial(config, task, cache, i), range(config.trials))
     finally:
         if cache is not None and not cache.replay:
             cache.save(config.backend.cache_path)
@@ -453,7 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         alphas = _split(args.alphas, "alphas", float)
         horizons = _split(args.horizons, "horizons", int)
         cells = variance_report(alphas, horizons, args.sigma, args.trials, substream(args.seed, STREAM_VARIANCE))
-        table_path, summary_path = write_report(cells, args.output_dir)
+        table_path, summary_path = write_report(cells, _make_output_dir(args.output_dir))
         flagged = sum(1 for cell in cells if cell.flagged)
         print(f"{len(cells)} cells, {flagged} flagged; wrote {table_path} and {summary_path}")
         return 0 if flagged == 0 else 1

@@ -16,8 +16,8 @@ together.
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,29 +27,7 @@ from typing import Any, Callable, Literal, Union, get_args, get_origin, get_type
 import yaml
 
 from .errors import ConfigError, DomainError, UnknownFieldError, check_minimums
-from .gateway import ScriptRule
 from .optimizer import GenerationMode, GenerationParams, RunConfig
-
-# Demo script for the synthetic task: forward passes echo the marker word,
-# refinement and analysis requests get canned instruction text.
-DEFAULT_SCRIPTED_RULES = (
-    ScriptRule("carries marker blue", " blue"),
-    ScriptRule("carries marker red", " red"),
-    ScriptRule(
-        "Improved instruction:",
-        "Name the marker word at the end of the item description: blue or red.",
-    ),
-    ScriptRule(
-        "Error analysis:",
-        "The instruction does not say to copy the marker word, so answers drift.",
-    ),
-    ScriptRule(
-        "Improved version:",
-        "Name the marker word at the end of the item description: blue or red.",
-    ),
-)
-DEFAULT_SCRIPTED_RESPONSE = " blue"
-
 
 @dataclass
 class TaskSettings:
@@ -72,6 +50,9 @@ class TaskSettings:
 @dataclass
 class BackendSettings:
     """Backend selection plus optional record/replay cache.
+
+    ``kind: scripted`` answers from the CLI's fixed demo script.
+    ``timeout_s`` bounds each HTTP attempt, in (0, 86400] seconds.
 
     ``max_inflight`` is how many gateway calls one trial keeps in flight,
     on the one :class:`CallPool` that serves its optimizer and its test
@@ -99,12 +80,12 @@ class BackendSettings:
     max_inflight: int = 24
     cache_mode: Literal["off", "record", "replay"] = "off"
     cache_path: str | None = None
-    scripted_rules: tuple[ScriptRule, ...] = DEFAULT_SCRIPTED_RULES
-    scripted_default_response: str = DEFAULT_SCRIPTED_RESPONSE
 
     def __post_init__(self) -> None:
         if not self.timeout_s > 0:
             raise DomainError(f"timeout_s must be > 0, got {self.timeout_s}")
+        if self.timeout_s > 86_400:  # a day; the socket layer refuses 1e10 s, and only in the first call
+            raise DomainError(f"timeout_s must be <= 86400, got {self.timeout_s}")
         check_minimums(self, max_attempts=1, max_inflight=1)
         if self.cache_mode != "off" and not self.cache_path:
             raise DomainError(f"cache_path: required for cache_mode {self.cache_mode!r}")
@@ -147,13 +128,16 @@ class ExperimentConfig:
 # parsing, read from the dataclasses above
 
 # Scalar annotation: (what an error message calls it, whether a document
-# value is one).
+# value is one). The float bound refuses NaN, the infinities and an integer
+# too large for a float: an int compares with a float exactly.
 _SCALARS = {
     bool: ("true/false", lambda value: isinstance(value, bool)),
     int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
     float: (
         "a finite number",
-        lambda value: isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
+        lambda value: isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max,
     ),
     str: ("a string", lambda value: isinstance(value, str)),
 }
@@ -219,7 +203,7 @@ def _converter(hint: Any) -> Converter:
 # fields, read once at import: resolving annotations costs more than a parse.
 _HINTS = {
     cls: get_type_hints(cls)
-    for cls in (ExperimentConfig, RunConfig, GenerationParams, TaskSettings, BackendSettings, SweepSettings, ScriptRule)
+    for cls in (ExperimentConfig, RunConfig, GenerationParams, TaskSettings, BackendSettings, SweepSettings)
 }
 _FIELDS = {cls: {f.name: _converter(hints[f.name]) for f in dataclasses.fields(cls)} for cls, hints in _HINTS.items()}
 _REQUIRED = {

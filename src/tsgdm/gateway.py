@@ -325,12 +325,11 @@ SEQUENTIAL = CallPool(1)
 
 @dataclass(frozen=True)
 class ScriptRule:
-    """One scripted response; ``exact`` compares the whole prompt, otherwise
-    the rule fires when ``pattern`` occurs anywhere in the prompt."""
+    """One scripted response, which fires when ``pattern`` occurs anywhere
+    in the prompt."""
 
     pattern: str
     response: str
-    exact: bool = False
     finish_reason: FinishReason = FinishReason.STOP
 
 
@@ -353,8 +352,7 @@ class ScriptedBackend:
         text = self.default_response
         reason = FinishReason.STOP
         for rule in self.rules:
-            hit = request.prompt_text == rule.pattern if rule.exact else rule.pattern in request.prompt_text
-            if hit:
+            if rule.pattern in request.prompt_text:
                 text = rule.response
                 reason = rule.finish_reason
                 break
@@ -648,6 +646,8 @@ class ReplayCache:
                 row = json.loads(line)
                 if lineno == 1 and "backend" in row:
                     backend = row["backend"]
+                    if not isinstance(backend, dict):
+                        raise TypeError(f"the backend header is not an object: {backend!r}")
                     continue
                 # Popped first: the right-hand side of an assignment runs first.
                 digest = row.pop("digest")

@@ -94,14 +94,12 @@ class GenerationMode(str, Enum):
     CONCAT_BASELINE = "concat_baseline"
 
 
-# Each mode's refine template: its name in an error message, its default
-# and the fields it renders with.
+# Each mode's rewrite prompt, TGD's fixed meta-prompts: only the mode
+# decides which one a round sends.
 _REFINE = {
-    GenerationMode.CASE1_META_PROMPT: ("refine_template", templates.REFINE_PROMPT, ("prompt",)),
-    GenerationMode.CASE2_GRADIENT: (
-        "gradient-mode refine_template", templates.REFINE_WITH_FEEDBACK_PROMPT, ("prompt", "gradient")
-    ),
-    GenerationMode.CONCAT_BASELINE: ("concat-baseline refine_template", templates.CONCAT_HISTORY_PROMPT, ("history",)),
+    GenerationMode.CASE1_META_PROMPT: templates.REFINE_PROMPT,
+    GenerationMode.CASE2_GRADIENT: templates.REFINE_WITH_FEEDBACK_PROMPT,
+    GenerationMode.CONCAT_BASELINE: templates.CONCAT_HISTORY_PROMPT,
 }
 
 
@@ -117,8 +115,6 @@ class GenerationParams:
     temperature: float | None = None
     candidates: int = 20
     mode: GenerationMode = GenerationMode.CASE1_META_PROMPT
-    refine_template: str | None = None
-    analyze_template: str | None = None
 
     def __post_init__(self) -> None:
         self.mode = GenerationMode(self.mode)
@@ -129,16 +125,6 @@ class GenerationParams:
             raise DomainError(
                 f"block_tokens must be in [1, max_total_tokens], got {self.block_tokens}"
             )
-        # Every template this mode renders must name its fields and render
-        # with exactly those fields, so a bad template fails here and not mid-run.
-        name, default, fields = _REFINE[self.mode]
-        if self.refine_template is None:
-            self.refine_template = default
-        templates.check_template(name, self.refine_template, fields)
-        if self.mode is GenerationMode.CASE2_GRADIENT:
-            if self.analyze_template is None:
-                self.analyze_template = templates.ANALYZE_PROMPT
-            templates.check_template("analyze_template", self.analyze_template, ("prompt", "examples"))
 
 
 class HypothesisPreset(str, Enum):
@@ -261,14 +247,15 @@ def draw_plan(weights: Sequence[float], blocks: int, rng: RandomStream) -> tuple
 
 
 def _conditioning_text(gen: GenerationParams, history: Sequence[PromptRecord], source: int) -> str:
-    """The refine conditioning of a block drawn from ``history[source]``:
-    the whole history joined in concat mode, else the source record, which
-    in gradient mode travels with its own error analysis (a case1 template
-    renders with ``prompt`` alone and ignores it)."""
+    """The rewrite conditioning of a block drawn from ``history[source]``:
+    the mode's prompt over the whole history joined in concat mode, else
+    over the source record, which in gradient mode travels with its own
+    error analysis (the case1 prompt renders ``prompt`` alone)."""
+    template = _REFINE[gen.mode]
     if gen.mode is GenerationMode.CONCAT_BASELINE:
-        return gen.refine_template.format(history="\n".join(record.prompt_text for record in history))
+        return template.format(history="\n".join(record.prompt_text for record in history))
     record = history[source]
-    return gen.refine_template.format(prompt=record.prompt_text, gradient=record.gradient_text)
+    return template.format(prompt=record.prompt_text, gradient=record.gradient_text)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +352,9 @@ class _Round:
 
     def _analyze(self) -> list[Task]:
         gen, prompt = self.gen, self.history[-1].prompt_text
+        examples = templates.format_triples(self.triples)
         request = CompletionRequest(
-            prompt_text=gen.analyze_template.format(prompt=prompt, examples=templates.format_triples(self.triples)),
+            prompt_text=templates.ANALYZE_PROMPT.format(prompt=prompt, examples=examples),
             max_new_tokens=gen.max_total_tokens,
             temperature=gen.temperature,
             request_tag=f"analyze/iter{self.t}",

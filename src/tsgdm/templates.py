@@ -1,10 +1,9 @@
 """Prompt templates and rendering helpers.
 
-Templates are plain ``str.format`` strings. A refine template must contain
-``{prompt}`` (plus ``{gradient}`` in feedback mode); the analysis template
-must contain ``{prompt}`` and ``{examples}``; the history template for the
-concatenation baseline must contain ``{history}``; the forward template must
-contain ``{prompt}`` and ``{input}``.
+Templates are plain ``str.format`` strings. Each update rule's rewrite
+prompt and the analysis prompt are the fixed constants below. The forward
+template is the one a task may replace, and it must contain ``{prompt}``
+and ``{input}``.
 """
 
 from __future__ import annotations
@@ -82,15 +81,11 @@ def format_triples(triples: Sequence[tuple[str, str, str]]) -> str:
     return "\n\n".join(parts)
 
 
-def has_placeholder(template: str, name: str) -> bool:
-    return "{" + name + "}" in template
-
-
 def check_template(name: str, template: str, fields: tuple[str, ...]) -> None:
     """Raise :class:`DomainError` unless ``template`` names each of
     ``fields`` and renders with those fields alone."""
     for field_name in fields:
-        if not has_placeholder(template, field_name):
+        if "{" + field_name + "}" not in template:
             raise DomainError(f"{name} needs a {{{field_name}}} placeholder")
     try:
         template.format(**{field_name: field_name for field_name in fields})

@@ -9,6 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ from tsgdm.cli import (
     run_experiment,
     run_sweep,
 )
+from tsgdm.gateway import CallPool
 
 
 def tiny_config(**top) -> ExperimentConfig:
@@ -48,6 +51,16 @@ def tiny_config(**top) -> ExperimentConfig:
     }
     data.update(top)
     return parse_config_data(data)
+
+
+# Documents that set a field the prompts and the offline script once read,
+# now constants, by its dotted path.
+REMOVED_FIELDS = {
+    "run.generation.refine_template": {"run": {"generation": {"refine_template": "Improve: {prompt}"}}},
+    "run.generation.analyze_template": {"run": {"generation": {"analyze_template": "Why {prompt}: {examples}"}}},
+    "backend.scripted_rules": {"backend": {"scripted_rules": []}},
+    "backend.scripted_default_response": {"backend": {"scripted_default_response": " x"}},
+}
 
 
 # tiny_config's generation in the one mode whose batch a sweep can vary.
@@ -113,7 +126,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("template", ["x {prompt} {oops", "{prompt} {nope}"])
     def test_unrenderable_template_is_a_config_error(self, template):
-        with pytest.raises(ConfigError, match="refine_template"):
+        # The rewrite prompts are constants: a document's template is refused unread.
+        with pytest.raises(UnknownFieldError, match=r"^run\.generation\.refine_template: unknown field$"):
             parse_config_data({"run": {"generation": {"refine_template": template}}})
 
     def test_unknown_field_rejected(self):
@@ -121,6 +135,10 @@ class TestParseConfig:
             parse_config("run:\n  blocksize: 3\n")
         with pytest.raises(UnknownFieldError, match="config.whatever"):
             parse_config("whatever: 1\n")
+        # The fields that chose the prompts and the offline script, now constants.
+        for dotted, document in REMOVED_FIELDS.items():
+            with pytest.raises(UnknownFieldError, match=rf"^{re.escape(dotted)}: unknown field$"):
+                parse_config_data(document)
 
     def test_type_errors(self):
         with pytest.raises(ConfigError, match="run.batch_size"):
@@ -159,6 +177,8 @@ REFUSALS = [
     (lambda: BackendSettings(max_attempts=0), "max_attempts must be >= 1, got 0"),
     (lambda: BackendSettings(timeout_s=0.0), "timeout_s must be > 0, got 0.0"),
     (lambda: BackendSettings(timeout_s=math.nan), "timeout_s must be > 0, got nan"),
+    (lambda: BackendSettings(timeout_s=math.inf), "timeout_s must be <= 86400, got inf"),
+    (lambda: BackendSettings(timeout_s=1e10), "timeout_s must be <= 86400, got 10000000000.0"),
     (lambda: GenerationParams(temperature=math.nan), "temperature must be >= 0, got nan"),
     (lambda: ExperimentConfig(trials=math.nan), "trials must be >= 1, got nan"),
     (lambda: BackendSettings(cache_mode="record"), "cache_path: required for cache_mode 'record'"),
@@ -186,22 +206,6 @@ class TestParseBackend:
         with pytest.raises(ConfigError, match="cache_path"):
             parse_config("backend:\n  cache_mode: record\n")
 
-    def test_scripted_rules_parse(self):
-        config = parse_config(
-            "backend:\n"
-            "  scripted_rules:\n"
-            "    - pattern: ping\n"
-            "      response: ' pong'\n"
-            "      finish_reason: length\n"
-            "  scripted_default_response: ' nothing'\n"
-        )
-        (rule,) = config.backend.scripted_rules
-        assert rule.pattern == "ping"
-        assert rule.response == " pong"
-        assert rule.exact is False
-        assert rule.finish_reason.value == "length"
-        assert config.backend.scripted_default_response == " nothing"
-
     @pytest.mark.parametrize("name, value", [("max_attempts", 0), ("timeout_s", -1)])
     def test_remote_limits_are_refused_at_parse_time(self, name, value):
         with pytest.raises(ConfigError, match=f"backend.{name} must be"):
@@ -214,12 +218,6 @@ class TestParseBackend:
             parse_config("backend:\n  max_inflight: 0\n")
         with pytest.raises(ConfigError, match="backend.max_inflight"):
             parse_config("backend:\n  max_inflight: many\n")
-
-    def test_scripted_rules_validation(self):
-        with pytest.raises(ConfigError, match="pattern and response"):
-            parse_config("backend:\n  scripted_rules:\n    - pattern: x\n")
-        with pytest.raises(ConfigError, match="scripted_rules"):
-            parse_config("backend:\n  scripted_rules:\n    - pattern: x\n      response: y\n      finish_reason: maybe\n")
 
 
 class TestParseSweep:
@@ -458,6 +456,35 @@ class TestRunExperiment:
             name = f"trial_{i:03d}.json"
             assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
+    def test_parallel_trials_share_one_pool_and_a_crash_stops_new_trials(self, tmp_path, monkeypatch):
+        """A run's trials take turns on one pool of ``parallel_trials``; an
+        error outside the package's own types stops further trials from
+        starting, and the record cache is saved all the same."""
+        widths, started, second = [], [], threading.Event()
+        monkeypatch.setattr(cli, "CallPool", lambda width: widths.append(width) or CallPool(width))
+        real = cli._run_one_trial
+
+        def trial(config, task, cache, i):
+            started.append(i)
+            if i == 0:  # fails while trial 1 runs
+                second.wait(5)
+                raise RuntimeError("crash in trial 0")
+            second.set()
+            time.sleep(0.05)
+            return real(config, task, cache, i)
+
+        monkeypatch.setattr(cli, "_run_one_trial", trial)
+        cache_path = tmp_path / "cache.jsonl"
+        config = tiny_config(
+            trials=4, parallel_trials=2, output_dir=str(tmp_path / "out"),
+            backend={"cache_mode": "record", "cache_path": str(cache_path)},
+        )
+        with pytest.raises(RuntimeError, match="crash in trial 0"):
+            run_experiment(config, echo=lambda *a: None)
+        assert widths[0] == 2
+        assert sorted(started) == [0, 1]
+        assert len(ReplayCache.load(cache_path)) > 0
+
     def test_failed_trial_reported_honestly(self, tmp_path):
         config = tiny_config(max_gateway_calls=8, output_dir=str(tmp_path / "out"))
         summary = run_experiment(config, echo=lambda *a: None)
@@ -650,6 +677,27 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "variance"])
+    def test_an_output_dir_that_is_a_file_exits_two(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("a file\n", encoding="utf-8")
+        flags = {
+            "run": self.RUN_FLAGS,
+            "sweep": ["--axis", "alpha", "--values", "0.3", *self.RUN_FLAGS],
+            "variance": ["--alphas", "0.5", "--horizons", "2", "--trials", "200"],
+        }
+        assert main([command, "--output-dir", str(out), *flags[command]]) == 2
+        assert "error: output_dir: " in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "a file\n"
+
+    @pytest.mark.parametrize("dotted", sorted(REMOVED_FIELDS))
+    def test_a_config_that_sets_a_removed_field_exits_two(self, tmp_path, capsys, dotted):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(REMOVED_FIELDS[dotted]), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"error: {dotted}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("which", ["dataset", "cache"])
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_an_unreadable_input_file_exits_two(self, tmp_path, capsys, which, kind):
@@ -768,7 +816,7 @@ class TestMain:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_record_then_replay_is_byte_identical(self, tmp_path, capsys):
+    def test_record_then_replay_is_byte_identical(self, tmp_path, capsys, monkeypatch):
         cache_path = tmp_path / "cache.jsonl"
         record = main(
             [
@@ -778,16 +826,11 @@ class TestMain:
         )
         assert record == 0
         assert cache_path.exists()
-        replay_config = tmp_path / "replay.yaml"
-        replay_config.write_text(
-            "backend:\n"
-            "  scripted_rules: []\n"
-            "  scripted_default_response: ' poisoned'\n",
-            encoding="utf-8",
-        )
+        # A replay answers from the file alone: the script it would fall back on is poisoned.
+        monkeypatch.setattr(cli, "ScriptedBackend", lambda **_: ScriptedBackend(default_response=" poisoned"))
         replay = main(
             [
-                "run", "--config", str(replay_config), "--output-dir", str(tmp_path / "replay"),
+                "run", "--output-dir", str(tmp_path / "replay"),
                 "--cache-mode", "replay", "--cache-path", str(cache_path), *self.RUN_FLAGS,
             ]
         )

@@ -406,7 +406,8 @@ def test_a_failed_test_pass_keeps_the_finished_runs_rows(tmp_path, monkeypatch):
 
 @pytest.fixture
 def widths(monkeypatch):
-    """The width of each ``CallPool`` a CLI trial opens."""
+    """The width of each ``CallPool`` the CLI opens: a run's pool of
+    ``parallel_trials``, then one pool per trial."""
     opened = []
     monkeypatch.setattr(cli, "CallPool", lambda width: opened.append(width) or CallPool(width))
     return opened
@@ -420,7 +421,8 @@ def test_a_trial_whose_backend_never_waits_starts_no_thread(tmp_path, monkeypatc
     for cache_mode in ("off", "record", "replay"):
         doc = trial_doc("momentum-case2", 24, cache_mode=cache_mode, cache_path=cache_path)
         run_trial(tmp_path, cache_mode, doc, monkeypatch)
-    assert widths == [1, 1, 1]
+    # (the run's pool, its one trial's pool) for each of the three runs
+    assert widths == [1, 1] * 3
     assert helper_sets == []
 
 
@@ -430,7 +432,7 @@ def test_a_trial_whose_backend_declares_nothing_keeps_max_inflight(
 ):
     doc = trial_doc("momentum-case2", 24, cache_mode=cache_mode, cache_path=str(tmp_path / "cache.jsonl"))
     run_trial(tmp_path, "trial", doc, monkeypatch, TagSensitiveBackend())
-    assert widths == [24]
+    assert widths == [1, 24]  # the run's pool, then its one trial's
     assert [len(helper_set.threads) for helper_set in helper_sets] == [23]
 
 

@@ -5,9 +5,10 @@ weight wrappers, the record's unread score, the scripted call log, the
 round helpers that ``_Round`` folded in, the request builders and the
 seed-stamping view it took over, the enums that restated the config's
 cache mode and scoring rule, the scorer that copied the task's scoring
-rule, two error types nothing could raise, three parameters no caller
+rule, two error types nothing could raise, four parameters no caller
 set and the cache's second way to answer, a record holds only its
-instruction and analysis, and README's code runs."""
+instruction and analysis, the prompts and the offline script are no
+config fields, and README's code runs."""
 
 from __future__ import annotations
 
@@ -19,10 +20,12 @@ from pathlib import Path
 import pytest
 
 import tsgdm
+import tsgdm.config
 import tsgdm.errors
 import tsgdm.gateway
 import tsgdm.optimizer
 import tsgdm.task
+import tsgdm.templates
 
 REMOVED = {
     tsgdm.optimizer: (
@@ -54,6 +57,7 @@ REMOVED = {
     tsgdm.gateway: ("RemoteConfig", "CacheMode"),
     tsgdm.gateway.ReplayCache: ("lookup", "record"),
     tsgdm.errors: ("EmptyHistoryError", "EmptyBatchError"),
+    tsgdm.templates: ("has_placeholder",),
 }
 
 
@@ -88,10 +92,20 @@ def test_run_tsgd_takes_no_score_fn_or_rng():
         (tsgdm.ScriptedBackend, "default_finish_reason"),
         (tsgdm.synthetic_binding, "name"),
         (tsgdm.RemoteBackend, "backoff_base_s"),
+        (tsgdm.ScriptRule, "exact"),
     ],
 )
 def test_a_parameter_no_caller_set_is_gone(function, name):
     assert name not in inspect.signature(function).parameters
+
+
+def test_the_prompts_and_the_script_are_no_config_fields():
+    """Each mode's rewrite prompt, the analysis prompt and the scripted
+    backend's script are constants, not settings."""
+    generation = [f.name for f in dataclasses.fields(tsgdm.GenerationParams)]
+    assert [name for name in generation if name.endswith("_template")] == []
+    backend = [f.name for f in dataclasses.fields(tsgdm.config.BackendSettings)]
+    assert [name for name in backend if name.startswith("scripted_")] == []
 
 
 def test_scripted_backend_keeps_no_call_log():

@@ -84,14 +84,6 @@ class TestScriptedBackend:
         )
         assert backend.complete(REQ).text == "first"
 
-    def test_exact_match_rule(self):
-        backend = ScriptedBackend(
-            rules=[ScriptRule("hello", "exact", exact=True), ScriptRule("hell", "sub")],
-        )
-        assert backend.complete(REQ).text == "exact"
-        longer = CompletionRequest("hello there", 8, 0.0)
-        assert backend.complete(longer).text == "sub"
-
     def test_default_response(self):
         backend = ScriptedBackend(default_response="fallback")
         result = backend.complete(REQ)
@@ -197,9 +189,10 @@ class TestReplayCache:
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n", encoding="utf-8")
-        with pytest.raises(ProtocolError):
-            ReplayCache.load(path)
+        for line in ("not json", json.dumps({"backend": 5})):
+            path.write_text(line + "\n", encoding="utf-8")
+            with pytest.raises(ProtocolError, match=f"{path.name}:1: "):
+                ReplayCache.load(path)
 
     def test_load_takes_a_row_as_exactly_the_result_fields(self, tmp_path):
         """A row missing a token count loads it as 0; a row with a key the

@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgdm import (
+    ANALYZE_PROMPT,
+    CONCAT_HISTORY_PROMPT,
     DomainError,
     FinishReason,
     GenerationMode,
     GenerationParams,
     LabeledExample,
     PromptRecord,
+    REFINE_PROMPT,
+    REFINE_WITH_FEEDBACK_PROMPT,
     ScriptRule,
     ScriptedBackend,
     momentum_weights,
@@ -26,6 +30,7 @@ from tsgdm import optimizer
 from tsgdm.gateway import SEQUENTIAL
 from tsgdm.optimizer import draw_plan
 from tsgdm.rng import STREAM_CANDIDATES
+from tsgdm.templates import check_template
 from conftest import Recorder, write_candidates
 
 
@@ -58,31 +63,17 @@ class TestGenerationParams:
     def test_mode_string_coerced(self):
         gen = case1(mode="case2_gradient")
         assert gen.mode is GenerationMode.CASE2_GRADIENT
-        assert gen.analyze_template is not None
-
-    def test_refine_template_placeholder_enforced(self):
-        with pytest.raises(DomainError):
-            case1(refine_template="no placeholder here")
-        with pytest.raises(DomainError):
-            case1(mode="case2_gradient", refine_template="{prompt} only")
-
-    def test_concat_template_needs_history(self):
-        with pytest.raises(DomainError):
-            case1(mode="concat_baseline", refine_template="{prompt}")
-
-    @pytest.mark.parametrize("template", ["x {prompt} {oops", "{prompt} {nope}", "{prompt} {}"])
-    def test_refine_template_that_cannot_render_is_rejected(self, template):
-        with pytest.raises(DomainError, match="refine_template"):
-            case1(refine_template=template)
 
     def test_each_mode_renders_only_its_own_fields(self):
-        with pytest.raises(DomainError, match="refine_template"):
-            case1(mode="case2_gradient", refine_template="{prompt} {gradient} {history}")
-        with pytest.raises(DomainError, match="refine_template"):
-            case1(mode="concat_baseline", refine_template="{history} {prompt}")
-        with pytest.raises(DomainError, match="analyze_template"):
-            case1(mode="case2_gradient", analyze_template="{prompt} {examples} {gradient}")
-        assert case1(refine_template="{prompt} {{braces}}").refine_template == "{prompt} {{braces}}"
+        """Each constant prompt names every field its mode fills in and
+        renders with those alone, so none drops the analysis or the history."""
+        for name, template, fields in (
+            ("REFINE_PROMPT", REFINE_PROMPT, ("prompt",)),
+            ("REFINE_WITH_FEEDBACK_PROMPT", REFINE_WITH_FEEDBACK_PROMPT, ("prompt", "gradient")),
+            ("CONCAT_HISTORY_PROMPT", CONCAT_HISTORY_PROMPT, ("history",)),
+            ("ANALYZE_PROMPT", ANALYZE_PROMPT, ("prompt", "examples")),
+        ):
+            check_template(name, template, fields)
 
 
 BASE = PromptRecord("base")
@@ -146,6 +137,24 @@ class TestBlockLoop:
 
 
 class TestVanillaConditioning:
+    @pytest.mark.parametrize(
+        "mode, template",
+        [
+            (GenerationMode.CASE1_META_PROMPT, REFINE_PROMPT),
+            (GenerationMode.CASE2_GRADIENT, REFINE_WITH_FEEDBACK_PROMPT),
+            (GenerationMode.CONCAT_BASELINE, CONCAT_HISTORY_PROMPT),
+        ],
+        ids=["case1", "case2", "concat"],
+    )
+    def test_each_mode_rewrites_with_its_constant_prompt(self, mode, template):
+        """Only the mode decides the rewrite prompt: the one its table names."""
+        assert optimizer._REFINE[mode] is template
+        backend = Recorder(ScriptedBackend())
+        history = history_of("p0", "p1", gradients=["g0", "g1"])
+        write_candidates(history, case1(mode=mode), backend, momentum=False)
+        (request,) = backend.requests
+        assert request.prompt_text == template.format(prompt="p1", gradient="g1", history="p0\np1")
+
     def test_contains_template_and_prompt_verbatim(self):
         backend = Recorder(ScriptedBackend())
         vanilla(PromptRecord("MY INSTRUCTION"), case1(), backend)
@@ -187,7 +196,7 @@ class TestMomentumGenerate:
         got = [r.prompt_text for r in backend.requests]
         assert len(got) == len(plan)
         for source, prompt in zip(plan, got):
-            assert prompt.startswith(gen.refine_template.format(prompt=history[source].prompt_text))
+            assert prompt.startswith(REFINE_PROMPT.format(prompt=history[source].prompt_text))
 
     def test_case2_sampled_record_travels_with_its_own_gradient(self):
         history = history_of("p0", "p1", gradients=["grad zero", "grad one"])
