@@ -199,22 +199,28 @@ def run_experiment(config: ExperimentConfig, echo=print) -> dict:
     per-iteration log, and the aggregate summary into config.output_dir.
 
     Up to ``config.parallel_trials`` trials run at once on one
-    :class:`CallPool`; an error outside the package's own types stops
-    further trials from starting, and a record cache is saved even then."""
+    :class:`CallPool`, and each trial's file is written as the trial ends.
+    An error outside the package's own types stops further trials from
+    starting; the files of the trials that ended stay, and a record cache
+    is saved even then."""
     task = build_task(config.task)
     cache = build_cache(config.backend)
     out = _make_output_dir(config.output_dir)  # after the checks, so a refused run leaves none
 
+    def trial(i: int) -> dict:
+        trial_data = _run_one_trial(config, task, cache, i)
+        _dump_json(out / f"trial_{i:03d}.json", trial_data)
+        return trial_data
+
     try:
         with CallPool(config.parallel_trials) as pool:
-            trials = pool.map(lambda i: _run_one_trial(config, task, cache, i), range(config.trials))
+            trials = pool.map(trial, range(config.trials))
     finally:
         if cache is not None and not cache.replay:
             cache.save(config.backend.cache_path)
 
     log_lines = []
     for trial_data in trials:
-        _dump_json(out / f"trial_{trial_data['trial']:03d}.json", trial_data)
         for row in trial_data["per_iteration"]:
             log_lines.append(
                 json.dumps(
@@ -274,16 +280,20 @@ def run_sweep(config: ExperimentConfig, echo=print) -> list[dict]:
     if config.sweep is None:
         raise ConfigError("sweep: section required for the sweep command")
     axis = config.sweep.axis
+    # Every point runs this task and cache; a run refuses them before it
+    # makes its directory, and so does the sweep.
+    task = build_task(config.task)
+    build_cache(config.backend)
     if axis is SweepAxis.TRAIN_SIZE:
         # A run clips train_size to the train split, so larger values would
         # all run the same trial.
-        split = len(build_task(config.task).train)
+        split = len(task.train)
         for i, value in enumerate(config.sweep.values):
             if value > split:
                 raise ConfigError(
                     f"sweep.values[{i}]: train_size {int(value)} exceeds the {split} examples of the train split"
                 )
-    out = Path(config.output_dir)  # the first point's run_experiment makes it
+    out = _make_output_dir(config.output_dir)  # after the checks, before the first point
     rows = []
     for value in sorted(config.sweep.values):
         label = _format_axis_value(axis, value)

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, EmptySetError, LabelError, ParseError, SizeError
 from .gateway import SEQUENTIAL, Backend, CallPool, CompletionRequest
@@ -28,9 +28,8 @@ _NON_ALNUM_RE = re.compile(r"[^0-9a-z]+")
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """One dataset row."""
+class LabeledExample(NamedTuple):
+    """One dataset row. As a tuple it equals ``(input_text, gold_label)``."""
 
     input_text: str
     gold_label: str
@@ -190,19 +189,22 @@ class TaskBinding:
             raise DomainError(
                 f"label_set: {blurred} normalize to nothing or to the same text, so no answer can parse to them"
             )
-        seen: dict[str, str] = {}
+        # Each split's inputs and labels are checked as sets; a split's examples
+        # are walked only to name its first offender, the one an example-by-example
+        # walk of the splits in order would meet first.
+        allowed = frozenset(self.label_set)
+        earlier: dict[str, set[str]] = {}  # the inputs of each split checked so far
         for split_name, split in (("train", self.train), ("holdout", self.holdout), ("test", self.test)):
-            for example in split:
-                if self.label_set and example.gold_label not in self.label_set:
-                    raise LabelError(
-                        f"{split_name} example has label {example.gold_label!r} outside the label set"
-                    )
-                other = seen.get(example.input_text)
-                if other is not None and other != split_name:
-                    raise DomainError(
-                        f"input appears in both {other} and {split_name}: {example.input_text!r}"
-                    )
-                seen[example.input_text] = split_name
+            inputs, labels = map(set, zip(*split)) if split else (set(), set())
+            shared = [name for name, seen in earlier.items() if not inputs.isdisjoint(seen)]
+            if shared or (allowed and not labels <= allowed):
+                for input_text, gold_label in split:
+                    if allowed and gold_label not in allowed:
+                        raise LabelError(f"{split_name} example has label {gold_label!r} outside the label set")
+                    other = next((name for name in shared if input_text in earlier[name]), None)
+                    if other is not None:
+                        raise DomainError(f"input appears in both {other} and {split_name}: {input_text!r}")
+            earlier[split_name] = inputs
 
     def predict(self, lm: Backend, prompt_text: str, input_text: str, tag: str) -> tuple[str, str | None]:
         """One greedy forward pass; returns (raw completion, parsed label or None)."""
@@ -276,17 +278,14 @@ def synthetic_binding(
     rng = substream(seed, STREAM_TASK)
     labels = ("blue", "red")
 
-    def make(count: int, offset: int) -> tuple[LabeledExample, ...]:
-        drawn = [labels[k] for k in rng.integers(0, 2, size=count).tolist()]
-        return tuple(
-            LabeledExample(f"item {offset + i} carries marker {label}", label) for i, label in enumerate(drawn)
-        )
-
+    # One draw for all three splits gives each split the labels of a draw of its own.
+    drawn = [labels[k] for k in rng.integers(0, 2, size=n_train + n_holdout + n_test).tolist()]
+    examples = [LabeledExample(f"item {i} carries marker {label}", label) for i, label in enumerate(drawn)]
     return TaskBinding(
         name="synthetic",
         label_set=labels,
-        train=make(n_train, 0),
-        holdout=make(n_holdout, n_train),
-        test=make(n_test, n_train + n_holdout),
+        train=tuple(examples[:n_train]),
+        holdout=tuple(examples[n_train : n_train + n_holdout]),
+        test=tuple(examples[n_train + n_holdout :]),
         initial_prompt="Read the item description, then answer blue or red.",
     )

@@ -485,6 +485,26 @@ class TestRunExperiment:
         assert sorted(started) == [0, 1]
         assert len(ReplayCache.load(cache_path)) > 0
 
+    def test_a_crash_keeps_the_files_of_the_trials_that_ended(self, tmp_path, monkeypatch):
+        """Each trial's file is written as its trial ends, so a crash in a
+        later trial loses none of the earlier ones."""
+        whole = tiny_config(trials=3, output_dir=str(tmp_path / "whole"))
+        run_experiment(whole, echo=lambda *a: None)
+        real = cli._run_one_trial
+
+        def trial(config, task, cache, i):
+            if i == 2:
+                raise RuntimeError("crash in trial 2")
+            return real(config, task, cache, i)
+
+        monkeypatch.setattr(cli, "_run_one_trial", trial)
+        crashed = tmp_path / "crashed"
+        with pytest.raises(RuntimeError, match="crash in trial 2"):
+            run_experiment(dataclasses.replace(whole, output_dir=str(crashed)), echo=lambda *a: None)
+        assert sorted(path.name for path in crashed.iterdir()) == ["trial_000.json", "trial_001.json"]
+        for name in ("trial_000.json", "trial_001.json"):
+            assert (crashed / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
     def test_failed_trial_reported_honestly(self, tmp_path):
         config = tiny_config(max_gateway_calls=8, output_dir=str(tmp_path / "out"))
         summary = run_experiment(config, echo=lambda *a: None)
@@ -687,7 +707,10 @@ class TestMain:
             "variance": ["--alphas", "0.5", "--horizons", "2", "--trials", "200"],
         }
         assert main([command, "--output-dir", str(out), *flags[command]]) == 2
-        assert "error: output_dir: " in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before a sweep announces its first point
+        assert captured.err.startswith("error: output_dir: ")
+        assert captured.err.rstrip().endswith(repr(str(out)))  # the path given, not a point's sub-directory
         assert out.read_text(encoding="utf-8") == "a file\n"
 
     @pytest.mark.parametrize("dotted", sorted(REMOVED_FIELDS))

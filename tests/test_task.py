@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgdm import (
     DomainError,
@@ -30,7 +32,7 @@ from tsgdm import (
     substream,
     synthetic_binding,
 )
-from tsgdm.rng import STREAM_BATCH
+from tsgdm.rng import STREAM_BATCH, STREAM_TASK
 from tsgdm.cli import TaskSettings, build_task
 from conftest import Recorder
 
@@ -280,6 +282,61 @@ class TestTaskBinding:
         with pytest.raises(LabelError):
             small_task(train=(LabeledExample("a", "maybe"),))
 
+    @pytest.mark.parametrize("split", ["train", "holdout", "test"])
+    def test_a_label_outside_the_set_names_its_split_and_label(self, split):
+        rows = {"train": "a", "holdout": "b", "test": "c"}
+        with pytest.raises(LabelError) as caught:
+            small_task(**{split: (LabeledExample(rows[split], "no"), LabeledExample("d", "maybe"))})
+        assert str(caught.value) == f"{split} example has label 'maybe' outside the label set"
+
+    @pytest.mark.parametrize("first, second", [("train", "holdout"), ("train", "test"), ("holdout", "test")])
+    def test_an_input_in_two_splits_names_both(self, first, second):
+        rows = {"train": "a", "holdout": "b", "test": "c"}
+        with pytest.raises(DomainError) as caught:
+            small_task(**{second: (LabeledExample("fresh", "yes"), LabeledExample(rows[first], "no"))})
+        assert str(caught.value) == f"input appears in both {first} and {second}: {rows[first]!r}"
+
+    @pytest.mark.parametrize("split", ["train", "holdout", "test"])
+    def test_an_input_repeated_within_one_split_is_allowed(self, split):
+        rows = (LabeledExample("x", "yes"), LabeledExample("x", "no"))
+        assert getattr(small_task(**{split: rows}), split) == rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        splits=st.lists(
+            st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from(["yes", "no", "maybe"])), max_size=5),
+            min_size=3,
+            max_size=3,
+        ),
+        label_set=st.sampled_from([("yes", "no"), ()]),
+    )
+    def test_the_checks_refuse_as_a_walk_over_every_example_does(self, splits, label_set):
+        """Whatever the faults, the refusal is the first one an
+        example-by-example walk of the splits meets, with its message."""
+        names = ("train", "holdout", "test")
+        splits = [tuple(LabeledExample(*row) for row in split) for split in splits]
+
+        def walk():
+            seen: dict[str, str] = {}
+            for split_name, split in zip(names, splits):
+                for example in split:
+                    if label_set and example.gold_label not in label_set:
+                        return LabelError, f"{split_name} example has label {example.gold_label!r} outside the label set"
+                    other = seen.get(example.input_text)
+                    if other is not None and other != split_name:
+                        return DomainError, f"input appears in both {other} and {split_name}: {example.input_text!r}"
+                    seen[example.input_text] = split_name
+            return None
+
+        expected = walk()
+        kwargs = dict(zip(names, splits), label_set=label_set, exact_match=not label_set)
+        if expected is None:
+            assert small_task(**kwargs).test == splits[2]
+            return
+        with pytest.raises(expected[0]) as caught:
+            small_task(**kwargs)
+        assert (type(caught.value), str(caught.value)) == expected
+
     def test_empty_prompt_rejected(self):
         with pytest.raises(DomainError):
             small_task(initial_prompt="")
@@ -347,3 +404,14 @@ class TestSyntheticBinding:
     def test_deterministic_given_seed(self):
         assert synthetic_binding(seed=11) == synthetic_binding(seed=11)
         assert synthetic_binding(seed=11) != synthetic_binding(seed=12)
+
+    @pytest.mark.parametrize("sizes", [(40, 16, 16), (40, 16, 128), (40, 8, 128), (12, 6, 6), (1, 1, 1), (0, 3, 0)])
+    def test_one_draw_gives_the_labels_of_a_draw_per_split(self, sizes):
+        """All labels come from one draw, sliced; they equal the labels of
+        one draw per split, train then holdout then test."""
+        for seed in range(100):
+            rng = substream(seed, STREAM_TASK)
+            expected = [["blue", "red"][k] for size in sizes for k in rng.integers(0, 2, size=size).tolist()]
+            binding = synthetic_binding(*sizes, seed=seed)
+            assert [e.gold_label for e in binding.train + binding.holdout + binding.test] == expected
+            assert [len(binding.train), len(binding.holdout), len(binding.test)] == list(sizes)
